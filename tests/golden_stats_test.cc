@@ -207,6 +207,25 @@ TEST(GoldenStatsTest, ConventionalCopyFourDiskStatsMatchGolden) {
   CheckGolden(Scheme::kConventional, "conventional_copy_4disk_seed42.json", /*disks=*/4);
 }
 
+// --- Ordering-gate goldens: the scheduler schemes' request-eligibility
+// rules, pinned in the single-disk driver (Chains) and in the striped
+// volume's gate (Flag Part-NR and Chains on two disks, where the gate
+// holds requests back). Full, Back and Part produce identical stats on
+// this workload, so one flag golden covers them.
+
+TEST(GoldenStatsTest, SchedulerChainsCopyStatsMatchGolden) {
+  CheckGolden(Scheme::kSchedulerChains, "scheduler_chains_copy_seed42.json");
+}
+
+TEST(GoldenStatsTest, SchedulerFlagCopyTwoDiskStatsMatchGolden) {
+  CheckGolden(Scheme::kSchedulerFlag, "scheduler_flag_copy_2disk_seed42.json", /*disks=*/2);
+}
+
+TEST(GoldenStatsTest, SchedulerChainsCopyTwoDiskStatsMatchGolden) {
+  CheckGolden(Scheme::kSchedulerChains, "scheduler_chains_copy_2disk_seed42.json",
+              /*disks=*/2);
+}
+
 // --- Workload personality goldens: the zero-fault stats surface of each
 // personality, pinned byte-for-byte on one representative scheme each so
 // the four of them jointly cover most scheme mechanisms.
