@@ -66,7 +66,6 @@ void BM_FileCreateSimulated(benchmark::State& state) {
   for (auto _ : state) {
     MachineConfig cfg;
     cfg.scheme = scheme;
-    cfg.collect_traces = false;
     Machine m(cfg);
     Proc p = m.MakeProc("u");
     bool done = false;

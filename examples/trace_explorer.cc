@@ -1,13 +1,18 @@
 // Trace explorer: runs a small workload and dumps the per-request I/O
 // trace (issue/queue/access/response times) the way the instrumented
 // device driver of the paper's section 2 would, then prints summary
-// statistics per request type.
+// statistics per request type. The rows are rebuilt from the stats
+// registry's JSONL trace (disk.issue, disk.service, disk.complete).
 //
 //   $ ./build/examples/trace_explorer [scheme]
 //   scheme: conventional | flag | chains | softupdates | noorder
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/core/machine.h"
 #include "src/workload/workloads.h"
@@ -43,18 +48,59 @@ Scheme ParseScheme(const char* arg) {
   return Scheme::kSoftUpdates;
 }
 
+bool IsEvent(const std::string& line, std::string_view event) {
+  return line.find("\"event\":\"" + std::string(event) + "\"") != std::string::npos;
+}
+
+// Integer field `key` of a trace record.
+int64_t Field(const std::string& line, const std::string& key) {
+  size_t pos = line.find("\"" + key + "\":");
+  return pos == std::string::npos ? 0 : std::atoll(line.c_str() + pos + key.size() + 3);
+}
+
+// One completed device request, in completion order.
+struct Row {
+  int64_t id, blkno, count;
+  bool read, flagged;
+  SimTime issue, service, complete;
+};
+
+std::vector<Row> CompletedRequests(const std::vector<std::string>& lines) {
+  std::map<int64_t, const std::string*> issues;
+  std::map<int64_t, SimTime> services;
+  std::vector<Row> rows;
+  for (const std::string& line : lines) {
+    if (IsEvent(line, "disk.issue")) {
+      issues[Field(line, "id")] = &line;
+    } else if (IsEvent(line, "disk.service")) {
+      services[Field(line, "id")] = Field(line, "t");
+    } else if (IsEvent(line, "disk.complete")) {
+      // A merged request completes under its first issue's id.
+      const std::string& issue = *issues.at(Field(line, "id"));
+      Row r{Field(line, "id"), Field(line, "blkno"), Field(line, "count"),
+            issue.find("\"dir\":\"r\"") != std::string::npos, Field(issue, "flag") != 0,
+            Field(issue, "t"), 0, Field(line, "t")};
+      auto s = services.find(r.id);
+      r.service = s == services.end() ? r.complete : s->second;  // A failed request has none.
+      rows.push_back(r);
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   MachineConfig cfg;
   cfg.scheme = argc > 1 ? ParseScheme(argv[1]) : Scheme::kSoftUpdates;
+  cfg.collect_stats_trace = true;
   Machine m(cfg);
   Proc proc = m.MakeProc("tracer");
   bool done = false;
   m.engine().Spawn(Workload(&m, &proc, &done), "tracer");
   m.engine().RunUntil([&] { return done; });
 
-  const auto& traces = m.driver().Traces();
+  const std::vector<Row> traces = CompletedRequests(m.stats().trace_lines());
   printf("scheme=%s, %zu device requests\n\n", std::string(ToString(cfg.scheme)).c_str(),
          traces.size());
   printf("%-6s %-5s %8s %6s %5s %10s %10s %10s\n", "id", "dir", "blkno", "count", "flag",
@@ -65,10 +111,10 @@ int main(int argc, char** argv) {
       printf("... (%zu more)\n", traces.size() - 40);
       break;
     }
-    printf("%-6llu %-5s %8u %6u %5s %10.2f %10.2f %10.2f\n",
-           static_cast<unsigned long long>(t.id), t.dir == IoDir::kRead ? "R" : "W", t.blkno,
-           t.count, t.flagged ? "*" : "", ToMs(t.QueueDelay()), ToMs(t.AccessTime()),
-           ToMs(t.ResponseTime()));
+    printf("%-6lld %-5s %8lld %6lld %5s %10.2f %10.2f %10.2f\n", static_cast<long long>(t.id),
+           t.read ? "R" : "W", static_cast<long long>(t.blkno), static_cast<long long>(t.count),
+           t.flagged ? "*" : "", ToMs(t.service - t.issue), ToMs(t.complete - t.service),
+           ToMs(t.complete - t.issue));
   }
 
   double read_access = 0;
@@ -76,11 +122,11 @@ int main(int argc, char** argv) {
   size_t reads = 0;
   size_t writes = 0;
   for (const auto& t : traces) {
-    if (t.dir == IoDir::kRead) {
-      read_access += ToMs(t.AccessTime());
+    if (t.read) {
+      read_access += ToMs(t.complete - t.service);
       ++reads;
     } else {
-      write_access += ToMs(t.AccessTime());
+      write_access += ToMs(t.complete - t.service);
       ++writes;
     }
   }

@@ -55,42 +55,32 @@ namespace {
 // The scheme's driver-level ordering discipline. On a single disk it
 // lives in the one DiskDriver; on a multi-disk machine it moves up into
 // the StripedVolume gate and the member drivers run kNone.
-struct OrderingSpec {
-  OrderingMode mode = OrderingMode::kNone;
-  FlagSemantics semantics = FlagSemantics::kPart;
-  bool reads_bypass = false;
-};
-
-OrderingSpec MakeOrderingSpec(const MachineConfig& cfg) {
-  OrderingSpec spec;
+OrderingRules MakeOrderingRules(const MachineConfig& cfg) {
+  OrderingRules rules;
   switch (cfg.scheme) {
     case Scheme::kSchedulerFlag:
-      spec.mode = cfg.ignore_flags ? OrderingMode::kNone : OrderingMode::kFlag;
-      spec.semantics = cfg.flag_semantics;
-      spec.reads_bypass = cfg.reads_bypass;
+      rules.mode = cfg.ignore_flags ? OrderingMode::kNone : OrderingMode::kFlag;
+      rules.semantics = cfg.flag_semantics;
+      rules.reads_bypass = cfg.reads_bypass;
       break;
     case Scheme::kSchedulerChains:
-      spec.mode = OrderingMode::kChains;
+      rules.mode = OrderingMode::kChains;
       break;
     default:
       // Conventional orders by waiting; NoOrder doesn't order; soft
       // updates orders in the cache layer. The driver runs free.
       break;
   }
-  return spec;
+  return rules;
 }
 
 DriverConfig MakeDriverConfig(const MachineConfig& cfg, StatsRegistry* stats,
                               FaultInjector* faults) {
   DriverConfig d;
-  d.collect_traces = cfg.collect_traces;
+  d.ordering = MakeOrderingRules(cfg);
   d.stats = stats;
   d.faults = faults;
   d.queue_depth = cfg.queue_depth;
-  OrderingSpec spec = MakeOrderingSpec(cfg);
-  d.mode = spec.mode;
-  d.semantics = spec.semantics;
-  d.reads_bypass = spec.reads_bypass;
   return d;
 }
 
@@ -178,7 +168,7 @@ Machine::Machine(MachineConfig config) : config_(config) {
     if (multi) {
       dcfg.instance = instance;
       // The volume gate owns the scheme's ordering; member disks run free.
-      dcfg.mode = OrderingMode::kNone;
+      dcfg.ordering = {};
       // Member drivers address their own disk; the shared image is
       // volume-addressed.
       dcfg.image_map = [layout, d](uint32_t local) {
@@ -193,10 +183,7 @@ Machine::Machine(MachineConfig config) : config_(config) {
   if (multi) {
     VolumeConfig vcfg;
     vcfg.layout = layout;
-    OrderingSpec spec = MakeOrderingSpec(config_);
-    vcfg.mode = spec.mode;
-    vcfg.semantics = spec.semantics;
-    vcfg.reads_bypass = spec.reads_bypass;
+    vcfg.ordering = MakeOrderingRules(config_);
     vcfg.stats = stats_.get();
     std::vector<DiskDriver*> members;
     for (auto& drv : drivers_) {

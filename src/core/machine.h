@@ -152,7 +152,6 @@ struct MachineConfig {
   FsCpuCosts cpu_costs;
   uint32_t total_inodes = 32768;
   uint64_t seed = 42;
-  bool collect_traces = true;
   // Stream per-event JSONL trace records into the stats registry
   // (disk issue/service/complete, cache hit/miss/flush, syncer sweeps,
   // policy ordering points, soft-updates rollback/redo).

@@ -11,6 +11,15 @@ namespace {
 
 constexpr uint32_t kMaxMergedBlocks = 16;  // 64 KB max device transfer.
 
+// Takes ownership of `r` out of `from`.
+template <typename R>
+std::unique_ptr<R> Detach(std::list<std::unique_ptr<R>>* from, R* r) {
+  auto it = std::find_if(from->begin(), from->end(), [r](const auto& q) { return q.get() == r; });
+  std::unique_ptr<R> owned = std::move(*it);
+  from->erase(it);
+  return owned;
+}
+
 }  // namespace
 
 DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, DriverConfig config)
@@ -18,6 +27,7 @@ DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, Drive
       model_(model),
       image_(image),
       config_(config),
+      gate_(engine, config.ordering),
       work_available_(engine),
       queue_empty_(engine) {
   // With an image_map the image is the whole volume; this disk's media
@@ -101,13 +111,10 @@ uint64_t DiskDriver::IssueRead(uint32_t blkno, BlockData* out, IoCallback isr) {
 uint64_t DiskDriver::Enqueue(std::unique_ptr<Request> req, IoCallback isr) {
   uint64_t id = next_id_++;
   req->ids.push_back(id);
-  req->issue_index = next_issue_index_++;
+  req->issue_index = gate_.NextIssueIndex(req->flag);
   req->issue_time = engine_->Now();
   if (isr) {
     req->isrs.push_back(std::move(isr));
-  }
-  if (req->flag) {
-    flagged_indices_.push_back(req->issue_index);
   }
   ++total_requests_;
   if (req->dir == IoDir::kWrite) {
@@ -135,40 +142,12 @@ uint64_t DiskDriver::Enqueue(std::unique_ptr<Request> req, IoCallback isr) {
                                     {"count", queue_.back()->count}});
     }
   } else {
-    IndexRequest(*req);
+    gate_.Index(*req);
     queue_.push_back(std::move(req));
   }
   stat_queue_depth_->Set(static_cast<int64_t>(PendingCount()));
   Kick();
   return id;
-}
-
-void DiskDriver::IndexRequest(const Request& r) {
-  pending_indices_.insert(r.issue_index);
-  if (r.flag) {
-    pending_flagged_indices_.insert(r.issue_index);
-  }
-  if (r.dir == IoDir::kWrite) {
-    for (uint32_t b = r.blkno; b < r.blkno + r.count; ++b) {
-      pending_writes_by_block_[b].insert(r.issue_index);
-    }
-  }
-}
-
-void DiskDriver::UnindexRequest(const Request& r) {
-  pending_indices_.erase(r.issue_index);
-  pending_flagged_indices_.erase(r.issue_index);
-  if (r.dir == IoDir::kWrite) {
-    for (uint32_t b = r.blkno; b < r.blkno + r.count; ++b) {
-      auto it = pending_writes_by_block_.find(b);
-      if (it != pending_writes_by_block_.end()) {
-        it->second.erase(r.issue_index);
-        if (it->second.empty()) {
-          pending_writes_by_block_.erase(it);
-        }
-      }
-    }
-  }
 }
 
 bool DiskDriver::TryMerge(Request* incoming) {
@@ -195,11 +174,11 @@ bool DiskDriver::TryMerge(Request* incoming) {
   }
   if (tail->blkno + tail->count == incoming->blkno) {
     // Append.
-    UnindexRequest(*tail);
+    gate_.Unindex(*tail);
     tail->data.insert(tail->data.end(), incoming->data.begin(), incoming->data.end());
   } else if (incoming->blkno + incoming->count == tail->blkno) {
     // Prepend.
-    UnindexRequest(*tail);
+    gate_.Unindex(*tail);
     tail->data.insert(tail->data.begin(), incoming->data.begin(), incoming->data.end());
     tail->blkno = incoming->blkno;
   } else {
@@ -214,84 +193,7 @@ bool DiskDriver::TryMerge(Request* incoming) {
   // Adopt the newer issue index: eligibility constraints only grow, which
   // is always safe (delaying a write never violates ordering).
   tail->issue_index = incoming->issue_index;
-  IndexRequest(*tail);
-  return true;
-}
-
-bool DiskDriver::ConflictsWithEarlierWrite(const Request& r) const {
-  // A pending (or in-service) write of any overlapping block with an
-  // earlier issue index. Per-block index keeps this O(count * log n).
-  for (uint32_t b = r.blkno; b < r.blkno + r.count; ++b) {
-    auto it = pending_writes_by_block_.find(b);
-    if (it != pending_writes_by_block_.end() && !it->second.empty() &&
-        *it->second.begin() < r.issue_index) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool DiskDriver::Eligible(const Request& r) const {
-  // Device-level invariant independent of the ordering scheme: two writes
-  // of overlapping ranges must complete in issue order, or stale data
-  // could land last.
-  if (r.dir == IoDir::kWrite && ConflictsWithEarlierWrite(r)) {
-    return false;
-  }
-  switch (config_.mode) {
-    case OrderingMode::kNone:
-      return true;
-
-    case OrderingMode::kChains: {
-      for (uint64_t dep : r.deps) {
-        if (!completed_.contains(dep)) {
-          return false;
-        }
-      }
-      return true;
-    }
-
-    case OrderingMode::kFlag: {
-      if (r.dir == IoDir::kRead && config_.reads_bypass) {
-        return !ConflictsWithEarlierWrite(r);
-      }
-      // O(log n) checks against the incrementally maintained index sets.
-      // A request's own index never trips a strict `< r.issue_index`
-      // comparison, so no self-exclusion is needed.
-      auto flagged_before_me = [&] {
-        return !pending_flagged_indices_.empty() &&
-               *pending_flagged_indices_.begin() < r.issue_index;
-      };
-      switch (config_.semantics) {
-        case FlagSemantics::kPart:
-          // Wait only for pending flagged requests issued before us.
-          return !flagged_before_me();
-        case FlagSemantics::kBack: {
-          // Wait for everything issued at or before the last flagged
-          // request that was issued before us (even if that flagged
-          // request itself already completed).
-          auto it = std::lower_bound(flagged_indices_.begin(), flagged_indices_.end(),
-                                     r.issue_index);
-          if (it == flagged_indices_.begin()) {
-            return true;
-          }
-          uint64_t m = *std::prev(it);
-          return pending_indices_.empty() || *pending_indices_.begin() > m;
-        }
-        case FlagSemantics::kFull: {
-          if (flagged_before_me()) {
-            return false;
-          }
-          if (r.flag && !pending_indices_.empty() &&
-              *pending_indices_.begin() < r.issue_index) {
-            return false;
-          }
-          return true;
-        }
-      }
-      return true;
-    }
-  }
+  gate_.Index(*tail);
   return true;
 }
 
@@ -301,7 +203,7 @@ DiskDriver::Request* DiskDriver::PickNext() {
   Request* best_forward = nullptr;
   Request* best_wrap = nullptr;
   for (const auto& q : queue_) {
-    if (!Eligible(*q)) {
+    if (!gate_.Eligible(*q)) {
       continue;
     }
     if (q->blkno >= scan_from_) {
@@ -321,52 +223,49 @@ DiskDriver::Request* DiskDriver::PickNext() {
   return best_wrap;
 }
 
-Task<void> DiskDriver::ServiceLoop() {
-  if (device_queue_ != nullptr) {
-    co_await QueueingServiceLoop();
-    co_return;
+DiskDriver::Request* DiskDriver::PickFromDevice() {
+  DispatchToDevice();
+  const DeviceCommand* cmd = device_queue_->PickNext(*model_, engine_->Now());
+  if (cmd == nullptr) {
+    return nullptr;
   }
+  if (cmd->seq != device_queue_->OldestSeq()) {
+    stat_rpo_picks_->Inc();  // A true reordering, not just FIFO.
+  }
+  return static_cast<Request*>(cmd->cookie);
+}
+
+Task<void> DiskDriver::ServiceLoop() {
   while (!stopping_) {
-    Request* r = PickNext();
+    Request* r = device_queue_ == nullptr ? PickNext() : PickFromDevice();
     if (r == nullptr) {
-      if (queue_.empty()) {
+      if (PendingCount() == 0) {
         queue_empty_.NotifyAll();
       }
       co_await work_available_.Await();
       continue;
     }
-    // Detach from the queue and service.
+    // At depth 1 the request leaves the queue for service. A device
+    // command stays in the device queue across retries, so its tag keeps
+    // constraining (and being constrained by) its queue siblings, and no
+    // sibling can be reordered past a barrier by a retry.
     std::unique_ptr<Request> owned;
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->get() == r) {
-        owned = std::move(*it);
-        queue_.erase(it);
-        break;
-      }
+    if (device_queue_ == nullptr) {
+      owned = Detach(&queue_, r);
     }
     in_service_ = r;
-    SimTime service_start = engine_->Now();
-    uint32_t origin = scan_from_;
-    uint32_t attempts = 0;
-    IoStatus status = co_await ServiceOne(r, service_start, origin, &attempts);
+    IoStatus status = co_await ServiceOne(r);
     scan_from_ = r->blkno + r->count;
-    if (config_.collect_traces) {
-      RequestTrace t;
-      t.id = r->ids.front();
-      t.dir = r->dir;
-      t.blkno = r->blkno;
-      t.count = r->count;
-      t.flagged = r->flag;
-      t.issue_time = r->issue_time;
-      t.service_start = service_start;
-      t.complete_time = engine_->Now();
-      t.status = status;
-      t.retries = attempts;
-      traces_.push_back(t);
+    if (device_queue_ != nullptr) {
+      owned = Detach(&accepted_, r);
+      device_queue_->Remove(r->device_seq);
     }
     Complete(r, status);
     in_service_ = nullptr;
     stat_queue_depth_->Set(static_cast<int64_t>(PendingCount()));
+    if (device_queue_ != nullptr) {
+      stat_device_queue_->Set(static_cast<int64_t>(device_queue_->Size()));
+    }
   }
 }
 
@@ -376,7 +275,7 @@ TagKind DiskDriver::DeviceTagFor(const Request& r) const {
   // "Ignore" datapoint - all simple tags, the device runs free. For the
   // scheduler schemes, every ordering boundary (flag, dependency list, or
   // the policy's explicit annotation) becomes an ordered tag.
-  if (config_.mode == OrderingMode::kNone) {
+  if (config_.ordering.mode == OrderingMode::kNone) {
     return TagKind::kSimple;
   }
   if (r.device_ordered || r.flag || !r.deps.empty()) {
@@ -412,64 +311,8 @@ void DiskDriver::DispatchToDevice() {
   stat_device_queue_->Set(static_cast<int64_t>(device_queue_->Size()));
 }
 
-Task<void> DiskDriver::QueueingServiceLoop() {
-  while (!stopping_) {
-    DispatchToDevice();
-    const DeviceCommand* cmd = device_queue_->PickNext(*model_, engine_->Now());
-    if (cmd == nullptr) {
-      if (queue_.empty() && accepted_.empty()) {
-        queue_empty_.NotifyAll();
-      }
-      co_await work_available_.Await();
-      continue;
-    }
-    if (cmd->seq != device_queue_->OldestSeq()) {
-      stat_rpo_picks_->Inc();  // A true reordering, not just FIFO.
-    }
-    Request* r = static_cast<Request*>(cmd->cookie);
-    uint64_t seq = cmd->seq;
-    in_service_ = r;
-    SimTime service_start = engine_->Now();
-    uint32_t origin = scan_from_;
-    uint32_t attempts = 0;
-    // The entire fault/retry/remap path is shared with the depth-1 loop.
-    // The command stays in the device queue across retries, so its tag
-    // keeps constraining (and being constrained by) its queue siblings,
-    // and no sibling can be reordered past a barrier by a retry.
-    IoStatus status = co_await ServiceOne(r, service_start, origin, &attempts);
-    scan_from_ = r->blkno + r->count;
-    if (config_.collect_traces) {
-      RequestTrace t;
-      t.id = r->ids.front();
-      t.dir = r->dir;
-      t.blkno = r->blkno;
-      t.count = r->count;
-      t.flagged = r->flag;
-      t.issue_time = r->issue_time;
-      t.service_start = service_start;
-      t.complete_time = engine_->Now();
-      t.status = status;
-      t.retries = attempts;
-      traces_.push_back(t);
-    }
-    std::unique_ptr<Request> owned;
-    for (auto it = accepted_.begin(); it != accepted_.end(); ++it) {
-      if (it->get() == r) {
-        owned = std::move(*it);
-        accepted_.erase(it);
-        break;
-      }
-    }
-    device_queue_->Remove(seq);
-    Complete(r, status);
-    in_service_ = nullptr;
-    stat_queue_depth_->Set(static_cast<int64_t>(PendingCount()));
-    stat_device_queue_->Set(static_cast<int64_t>(device_queue_->Size()));
-  }
-}
-
-Task<IoStatus> DiskDriver::ServiceOne(Request* r, SimTime service_start, uint32_t origin,
-                                      uint32_t* attempts_out) {
+Task<IoStatus> DiskDriver::ServiceOne(Request* r) {
+  stat_queue_delay_->Record(engine_->Now() - r->issue_time);
   // One device command per iteration; a faulted attempt either backs off
   // and retries (the request stays in_service_, so its id, issue index
   // and every eligibility/dependency structure are untouched) or gives
@@ -502,9 +345,6 @@ Task<IoStatus> DiskDriver::ServiceOne(Request* r, SimTime service_start, uint32_
           model_->Access(r->dir == IoDir::kWrite, r->blkno, r->count, engine_->Now());
       stat_busy_ns_->Inc(static_cast<uint64_t>(dur));
       stat_access_->Record(dur);
-      if (attempts == 0) {
-        stat_queue_delay_->Record(service_start - r->issue_time);
-      }
       if (stats_->tracing()) {
         uint32_t to_cyl = model_->CylinderOf(r->blkno);
         uint32_t seek_cyls = to_cyl > from_cyl ? to_cyl - from_cyl : from_cyl - to_cyl;
@@ -513,7 +353,7 @@ Task<IoStatus> DiskDriver::ServiceOne(Request* r, SimTime service_start, uint32_
                        {"dir", r->dir == IoDir::kWrite ? "w" : "r"},
                        {"blkno", r->blkno},
                        {"count", r->count},
-                       {"origin", origin},
+                       {"origin", scan_from_},
                        {"seek_cyls", seek_cyls},
                        {"qdepth", PendingCount()}});
       }
@@ -580,7 +420,6 @@ Task<IoStatus> DiskDriver::ServiceOne(Request* r, SimTime service_start, uint32_
     co_await engine_->Sleep(backoff);
     backoff = std::min<SimDuration>(backoff * 2, config_.retry_backoff_cap);
   }
-  *attempts_out = attempts;
   co_return status;
 }
 
@@ -636,45 +475,18 @@ void DiskDriver::Complete(Request* req, IoStatus status) {
                                     {"response_ns", now - req->issue_time},
                                     {"status", IoStatusName(status)}});
   }
-  UnindexRequest(*req);
+  gate_.Retire(*req);
   for (uint64_t id : req->ids) {
-    completed_.emplace(id, status);
-    auto it = waiters_.find(id);
-    if (it != waiters_.end()) {
-      it->second->Set();
-      waiters_.erase(it);
-    }
+    gate_.Complete(id, status);
   }
   // Interrupt-level completion processing (must not block). Every ISR
   // receives the terminal status and must handle failure.
   for (auto& isr : req->isrs) {
     isr(status);
   }
-  PruneFlaggedIndices();
-}
-
-void DiskDriver::PruneFlaggedIndices() {
-  // Flagged indices only matter while some request issued at or after
-  // them is still pending; drop entries below the oldest pending index.
-  uint64_t oldest = pending_indices_.empty() ? next_issue_index_ : *pending_indices_.begin();
-  auto it = std::lower_bound(flagged_indices_.begin(), flagged_indices_.end(), oldest);
-  flagged_indices_.erase(flagged_indices_.begin(), it);
 }
 
 void DiskDriver::Kick() { work_available_.NotifyAll(); }
-
-Task<IoStatus> DiskDriver::WaitFor(uint64_t id) {
-  auto done = completed_.find(id);
-  if (done != completed_.end()) {
-    co_return done->second;
-  }
-  auto it = waiters_.find(id);
-  if (it == waiters_.end()) {
-    it = waiters_.emplace(id, std::make_unique<OneShotEvent>(engine_)).first;
-  }
-  co_await it->second->Wait();
-  co_return completed_.at(id);
-}
 
 size_t DiskDriver::PendingCount() const {
   size_t n = queue_.size() + accepted_.size();
@@ -688,15 +500,6 @@ Task<void> DiskDriver::Drain() {
   while (PendingCount() != 0) {
     co_await queue_empty_.Await();
   }
-}
-
-bool DiskDriver::HasPendingWrite(uint32_t blkno, uint32_t count) const {
-  for (uint32_t b = blkno; b < blkno + count; ++b) {
-    if (pending_writes_by_block_.contains(b)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace mufs

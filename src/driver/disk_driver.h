@@ -8,23 +8,8 @@
 //     requests (one request outstanding at the disk; the paper disables
 //     command queueing);
 //   - sequential request concatenation at enqueue (section 2);
-//   - the configured ordering discipline:
-//       kNone    - no constraints (Conventional relies on synchronous
-//                  waiting; No Order / Ignore simply don't care);
-//       kFlag    - one-bit ordering flag with Full/Back/Part semantics,
-//                  optionally letting non-conflicting reads bypass (-NR);
-//       kChains  - explicit per-request dependency lists.
-//
-// Flag semantics (section 3.1), where "earlier" is issue order:
-//   Full: a flagged request F may start only when every earlier request
-//         has completed, and no later request may start before F.
-//   Back: a request R may start only if, for every flagged F issued
-//         before R, every request issued at or before F has completed.
-//         (F itself reorders freely with earlier non-flagged requests.)
-//   Part: R may start only when every flagged request issued before R
-//         has completed. (Earlier non-flagged requests are free.)
-//   -NR:  a read may bypass any of the above provided it does not
-//         conflict (overlap) with a pending earlier write.
+//   - the configured ordering discipline (None, Flag with Full/Back/Part
+//     and -NR, or Chains), decided by the driver's OrderingGate.
 //
 // Command queueing (queue_depth > 1): the driver dispatches requests to
 // the device IN ISSUE ORDER until the device queue is full, and the
@@ -39,21 +24,17 @@
 #define MUFS_SRC_DRIVER_DISK_DRIVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/disk/device_queue.h"
 #include "src/disk/disk_image.h"
 #include "src/disk/disk_model.h"
 #include "src/driver/block_device.h"
+#include "src/driver/ordering_gate.h"
 #include "src/driver/request.h"
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
@@ -64,20 +45,15 @@ namespace mufs {
 
 class FaultInjector;
 
-enum class OrderingMode : uint8_t { kNone, kFlag, kChains };
-enum class FlagSemantics : uint8_t { kFull, kBack, kPart };
-
 struct DriverConfig {
-  OrderingMode mode = OrderingMode::kNone;
-  FlagSemantics semantics = FlagSemantics::kPart;
-  bool reads_bypass = false;  // -NR
+  // The scheme's ordering discipline, enforced by the driver's gate.
+  OrderingRules ordering;
   // Device command-queue depth. 1 (default) reproduces the paper's
   // substrate: no command queueing, one request outstanding at the disk,
   // byte-identical stats to the pre-queueing driver. Depths > 1 enable
   // tagged queueing: dispatch-until-full, device-side RPO picks, ordered
   // tags at scheme ordering boundaries.
   uint32_t queue_depth = 1;
-  bool collect_traces = true;
   // Shared metrics registry (the Machine's). When null the driver owns a
   // private registry, so standalone construction needs no guards.
   StatsRegistry* stats = nullptr;
@@ -134,14 +110,11 @@ class DiskDriver : public BlockDevice {
 
   // Suspends until request `id` completes (returns immediately if done)
   // and yields its terminal status.
-  Task<IoStatus> WaitFor(uint64_t id) override;
+  Task<IoStatus> WaitFor(uint64_t id) override { return gate_.WaitFor(id); }
 
-  bool IsComplete(uint64_t id) const override { return completed_.contains(id); }
+  bool IsComplete(uint64_t id) const override { return gate_.IsComplete(id); }
   // Terminal status of a completed request (kOk if `id` is unknown).
-  IoStatus CompletionStatus(uint64_t id) const override {
-    auto it = completed_.find(id);
-    return it == completed_.end() ? IoStatus::kOk : it->second;
-  }
+  IoStatus CompletionStatus(uint64_t id) const override { return gate_.CompletionStatus(id); }
   // Spare-pool sectors consumed by bad-sector remapping so far.
   uint32_t SparesUsed() const { return spares_used_; }
 
@@ -153,33 +126,31 @@ class DiskDriver : public BlockDevice {
   Task<void> Drain() override;  // Waits until the queue is empty.
 
   // True if any pending write overlaps [blkno, blkno+count).
-  bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const override;
+  bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const override {
+    return gate_.HasPendingWrite(blkno, count);
+  }
 
-  const std::vector<RequestTrace>& Traces() const { return traces_; }
+  // Issued requests, merged ones included.
   uint64_t TotalRequests() const { return total_requests_; }
-  // Requests that were merged into another request (still counted in
-  // TotalRequests? No: merged issues do not create a new device request).
+  // Issued requests that were concatenated onto a queued request instead
+  // of becoming a device request of their own. They are also counted in
+  // TotalRequests().
   uint64_t MergedRequests() const { return merged_requests_; }
 
   const DriverConfig& config() const { return config_; }
   StatsRegistry* stats() const { return stats_; }
 
  private:
-  struct Request {
+  // A device request. Its issue_index is the newest of its merged issues.
+  struct Request : GatedRequest {
     std::vector<uint64_t> ids;  // All ids merged into this device request.
-    IoDir dir;
-    uint32_t blkno;
-    uint32_t count;
-    bool flag = false;
     bool device_ordered = false;  // Scheme asked for an ordered device tag.
-    uint64_t issue_index;  // Position in issue order (max over merged).
     uint64_t device_seq = 0;  // Device acceptance number (queueing mode).
     // Silent damage decided for this (write) request: the device reports
     // success but the media transfer is torn or misdirected. Set by
     // ServiceOne, consumed by Complete. kNone = honest transfer.
     uint8_t silent_damage = 0;  // FaultKind, as uint8_t to avoid the include.
     SimTime issue_time;
-    std::vector<uint64_t> deps;
     std::vector<std::shared_ptr<const BlockData>> data;  // Writes.
     BlockData* read_out = nullptr;                       // Reads.
     std::vector<IoCallback> isrs;
@@ -187,27 +158,22 @@ class DiskDriver : public BlockDevice {
 
   uint64_t Enqueue(std::unique_ptr<Request> req, IoCallback isr);
   bool TryMerge(Request* incoming);
-  void IndexRequest(const Request& r);
-  void UnindexRequest(const Request& r);
   void Kick();
+  // One loop for both queue depths; only the pick differs.
   Task<void> ServiceLoop();
-  // queue_depth > 1 service loop: dispatch-until-full, device RPO picks,
-  // out-of-submission-order completion.
-  Task<void> QueueingServiceLoop();
+  // Depth 1: C-LOOK over the eligible queued requests.
+  Request* PickNext();
+  // queue_depth > 1: dispatch-until-full, then the device's RPO pick.
+  Request* PickFromDevice();
   // Moves requests from the driver queue into the device queue, in issue
   // order, until the device queue is full or the driver queue is empty.
   void DispatchToDevice();
   // Command tag for a request under the configured ordering mode.
   TagKind DeviceTagFor(const Request& r) const;
-  // Services `r` (already detached, in_service_) including the fault /
-  // retry / remap path; returns the terminal status.
-  Task<IoStatus> ServiceOne(Request* r, SimTime service_start, uint32_t origin,
-                            uint32_t* attempts_out);
-  Request* PickNext();
-  bool Eligible(const Request& r) const;
-  bool ConflictsWithEarlierWrite(const Request& r) const;
+  // Services `r` (in_service_) including the fault / retry / remap path;
+  // returns the terminal status.
+  Task<IoStatus> ServiceOne(Request* r);
   void Complete(Request* req, IoStatus status);
-  void PruneFlaggedIndices();
 
   // Local LBA -> shared-image address (identity without an image_map).
   uint32_t MapLba(uint32_t blkno) const {
@@ -256,19 +222,10 @@ class DiskDriver : public BlockDevice {
   LatencyHistogram* stat_queue_delay_ = nullptr;
 
   uint64_t next_id_ = 1;
-  uint64_t next_issue_index_ = 1;
   uint32_t scan_from_ = 0;
-  // Issue indices of every flagged request still relevant for Back
-  // semantics, ascending (pruned as the queue drains).
-  std::vector<uint64_t> flagged_indices_;
-  // Eligibility indexes, maintained incrementally so checks are O(log n)
-  // instead of O(queue) (large queues are a *feature* of this paper's
-  // workloads - seconds of queued ordered writes - so the naive scans
-  // were quadratic).
-  std::set<uint64_t> pending_indices_;          // All pending + in-service.
-  std::set<uint64_t> pending_flagged_indices_;  // Flagged subset.
-  // Per-block pending WRITE issue indices (overlap checks).
-  std::unordered_map<uint32_t, std::set<uint64_t>> pending_writes_by_block_;
+  // Every queued and in-service request stays indexed here until
+  // Complete(), so it constrains later requests while it runs.
+  OrderingGate gate_;
   std::list<std::unique_ptr<Request>> queue_;  // Issue order (undispatched).
   // Queueing mode only: requests accepted into the device queue, in
   // acceptance (= issue) order. The in-service request stays here until
@@ -277,14 +234,11 @@ class DiskDriver : public BlockDevice {
   std::unique_ptr<DeviceQueue> device_queue_;  // Null at depth 1.
   Request* in_service_ = nullptr;
   uint32_t spares_used_ = 0;
-  std::unordered_map<uint64_t, IoStatus> completed_;
-  std::unordered_map<uint64_t, std::unique_ptr<OneShotEvent>> waiters_;
   CondVar work_available_;
   CondVar queue_empty_;
   bool stopping_ = false;
   ProcessRef service_proc_;
 
-  std::vector<RequestTrace> traces_;
   uint64_t total_requests_ = 0;
   uint64_t merged_requests_ = 0;
 };

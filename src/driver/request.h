@@ -58,25 +58,6 @@ struct OrderingTag {
   bool device_ordered = false;
 };
 
-// Completion record for one request, used for the paper's I/O statistics
-// (figures 1b-4b, response-time columns of tables 1-2).
-struct RequestTrace {
-  uint64_t id = 0;
-  IoDir dir = IoDir::kRead;
-  uint32_t blkno = 0;
-  uint32_t count = 0;
-  bool flagged = false;
-  SimTime issue_time = 0;
-  SimTime service_start = 0;
-  SimTime complete_time = 0;
-  IoStatus status = IoStatus::kOk;
-  uint32_t retries = 0;  // Failed service attempts before completion.
-
-  SimDuration QueueDelay() const { return service_start - issue_time; }
-  SimDuration AccessTime() const { return complete_time - service_start; }
-  SimDuration ResponseTime() const { return complete_time - issue_time; }
-};
-
 }  // namespace mufs
 
 #endif  // MUFS_SRC_DRIVER_REQUEST_H_

@@ -8,9 +8,9 @@ namespace mufs {
 
 StripedVolume::StripedVolume(Engine* engine, std::vector<DiskDriver*> disks,
                              VolumeConfig config)
-    : engine_(engine),
-      disks_(std::move(disks)),
+    : disks_(std::move(disks)),
       config_(config),
+      gate_(engine, config.ordering),
       all_done_(engine) {
   assert(!disks_.empty());
   assert(config_.layout.disks == disks_.size());
@@ -51,13 +51,10 @@ uint64_t StripedVolume::IssueRead(uint32_t blkno, BlockData* out, IoCallback isr
 
 uint64_t StripedVolume::Issue(std::unique_ptr<VReq> req) {
   req->id = next_id_++;
-  req->issue_index = next_issue_index_++;
-  if (req->flag) {
-    flagged_indices_.push_back(req->issue_index);
-  }
-  IndexRequest(*req);
+  req->issue_index = gate_.NextIssueIndex(req->flag);
+  gate_.Index(*req);
   uint64_t id = req->id;
-  if (Eligible(*req)) {
+  if (gate_.Eligible(*req)) {
     VReq* r = req.get();
     in_flight_.emplace(id, std::move(req));
     Forward(r);
@@ -68,120 +65,13 @@ uint64_t StripedVolume::Issue(std::unique_ptr<VReq> req) {
   return id;
 }
 
-void StripedVolume::IndexRequest(const VReq& r) {
-  pending_indices_.insert(r.issue_index);
-  if (r.flag) {
-    pending_flagged_indices_.insert(r.issue_index);
-  }
-  if (r.dir == IoDir::kWrite) {
-    for (uint32_t b = r.blkno; b < r.blkno + r.count; ++b) {
-      pending_writes_by_block_[b].insert(r.issue_index);
-    }
-  }
-}
-
-void StripedVolume::UnindexRequest(const VReq& r) {
-  pending_indices_.erase(r.issue_index);
-  pending_flagged_indices_.erase(r.issue_index);
-  if (r.dir == IoDir::kWrite) {
-    for (uint32_t b = r.blkno; b < r.blkno + r.count; ++b) {
-      auto it = pending_writes_by_block_.find(b);
-      if (it != pending_writes_by_block_.end()) {
-        it->second.erase(r.issue_index);
-        if (it->second.empty()) {
-          pending_writes_by_block_.erase(it);
-        }
-      }
-    }
-  }
-}
-
-void StripedVolume::PruneFlaggedIndices() {
-  uint64_t oldest =
-      pending_indices_.empty() ? next_issue_index_ : *pending_indices_.begin();
-  auto it = std::lower_bound(flagged_indices_.begin(), flagged_indices_.end(), oldest);
-  flagged_indices_.erase(flagged_indices_.begin(), it);
-}
-
-bool StripedVolume::ConflictsWithEarlierWrite(const VReq& r) const {
-  for (uint32_t b = r.blkno; b < r.blkno + r.count; ++b) {
-    auto it = pending_writes_by_block_.find(b);
-    if (it != pending_writes_by_block_.end() && !it->second.empty() &&
-        *it->second.begin() < r.issue_index) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool StripedVolume::Eligible(const VReq& r) const {
-  // The exact single-disk DiskDriver::Eligible logic, evaluated over
-  // volume requests. "Pending" covers requests forwarded to a disk but
-  // not yet complete, matching the driver's in-service requests staying
-  // indexed until Complete(). Same-range writes map to the same disk
-  // (identical volume LBAs), so forwarding conflicting writes in issue
-  // order lets the member driver uphold the overlap invariant; holding
-  // them here additionally keeps volume-level forwarding conservative.
-  if (r.dir == IoDir::kWrite && ConflictsWithEarlierWrite(r)) {
-    return false;
-  }
-  switch (config_.mode) {
-    case OrderingMode::kNone:
-      return true;
-
-    case OrderingMode::kChains: {
-      for (uint64_t dep : r.deps) {
-        if (!completed_.contains(dep)) {
-          return false;
-        }
-      }
-      return true;
-    }
-
-    case OrderingMode::kFlag: {
-      if (r.dir == IoDir::kRead && config_.reads_bypass) {
-        return !ConflictsWithEarlierWrite(r);
-      }
-      auto flagged_before_me = [&] {
-        return !pending_flagged_indices_.empty() &&
-               *pending_flagged_indices_.begin() < r.issue_index;
-      };
-      switch (config_.semantics) {
-        case FlagSemantics::kPart:
-          return !flagged_before_me();
-        case FlagSemantics::kBack: {
-          auto it = std::lower_bound(flagged_indices_.begin(), flagged_indices_.end(),
-                                     r.issue_index);
-          if (it == flagged_indices_.begin()) {
-            return true;
-          }
-          uint64_t m = *std::prev(it);
-          return pending_indices_.empty() || *pending_indices_.begin() > m;
-        }
-        case FlagSemantics::kFull: {
-          if (flagged_before_me()) {
-            return false;
-          }
-          if (r.flag && !pending_indices_.empty() &&
-              *pending_indices_.begin() < r.issue_index) {
-            return false;
-          }
-          return true;
-        }
-      }
-      return true;
-    }
-  }
-  return true;
-}
-
 void StripedVolume::TryDispatch() {
   // Forward every held request that became eligible, in issue order.
   // Eligibility under every mode is monotone in completions, so one pass
   // suffices per completion event; requests forwarded here cannot make an
   // EARLIER held request eligible (only completions can).
   for (auto it = held_.begin(); it != held_.end();) {
-    if (Eligible(**it)) {
+    if (gate_.Eligible(**it)) {
       VReq* r = it->get();
       in_flight_.emplace(r->id, std::move(*it));
       it = held_.erase(it);
@@ -237,18 +127,12 @@ void StripedVolume::OnSubComplete(VReq* r, IoStatus status) {
   }
   auto node = in_flight_.extract(r->id);
   assert(!node.empty());
-  UnindexRequest(*r);
-  completed_.emplace(r->id, r->status);
-  auto w = waiters_.find(r->id);
-  if (w != waiters_.end()) {
-    w->second->Set();
-    waiters_.erase(w);
-  }
+  gate_.Retire(*r);
+  gate_.Complete(r->id, r->status);
   if (r->isr) {
     r->isr(r->status);
   }
-  PruneFlaggedIndices();
-  if (pending_indices_.empty()) {
+  if (gate_.PendingCount() == 0) {
     all_done_.NotifyAll();
   }
   // `node` keeps the request alive through its own completion; dispatch
@@ -256,32 +140,10 @@ void StripedVolume::OnSubComplete(VReq* r, IoStatus status) {
   TryDispatch();
 }
 
-Task<IoStatus> StripedVolume::WaitFor(uint64_t id) {
-  auto done = completed_.find(id);
-  if (done != completed_.end()) {
-    co_return done->second;
-  }
-  auto it = waiters_.find(id);
-  if (it == waiters_.end()) {
-    it = waiters_.emplace(id, std::make_unique<OneShotEvent>(engine_)).first;
-  }
-  co_await it->second->Wait();
-  co_return completed_.at(id);
-}
-
 Task<void> StripedVolume::Drain() {
-  while (!pending_indices_.empty()) {
+  while (gate_.PendingCount() != 0) {
     co_await all_done_.Await();
   }
-}
-
-bool StripedVolume::HasPendingWrite(uint32_t blkno, uint32_t count) const {
-  for (uint32_t b = blkno; b < blkno + count; ++b) {
-    if (pending_writes_by_block_.contains(b)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@
 // Ordering: the member drivers run OrderingMode::kNone; the volume owns
 // the scheme's ordering discipline instead, because flag semantics and
 // chain dependencies constrain VOLUME issue order, which per-disk queues
-// cannot see. The volume holds back requests until they are eligible
-// under the exact same rules the single-disk driver enforces (the rules
-// are monotone - a request once eligible stays eligible - so forwarding
-// eligible requests early is always safe), then lets each disk schedule
-// its own C-LOOK / tagged-queueing locally. The device-level invariant
+// cannot see. The volume holds back requests at its own OrderingGate -
+// the same rules the single-disk driver enforces (they are monotone - a
+// request once eligible stays eligible - so forwarding eligible requests
+// early is always safe) - then lets each disk schedule its own C-LOOK /
+// tagged-queueing locally. The device-level invariant
 // (overlapping writes complete in issue order) is preserved because
 // identical block ranges always map to the same disk and the volume
 // forwards in issue order.
@@ -24,13 +24,12 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "src/driver/disk_driver.h"
+#include "src/driver/ordering_gate.h"
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
 #include "src/stats/stats_registry.h"
@@ -68,9 +67,7 @@ struct VolumeConfig {
   VolumeLayout layout;
   // The scheme's ordering discipline, enforced at the volume gate (the
   // member drivers all run OrderingMode::kNone).
-  OrderingMode mode = OrderingMode::kNone;
-  FlagSemantics semantics = FlagSemantics::kPart;
-  bool reads_bypass = false;  // -NR
+  OrderingRules ordering;
   StatsRegistry* stats = nullptr;  // Required: the Machine's registry.
 };
 
@@ -85,28 +82,21 @@ class StripedVolume : public BlockDevice {
   uint64_t IssueWrite(uint32_t blkno, std::vector<std::shared_ptr<const BlockData>> data,
                       OrderingTag tag = {}, IoCallback isr = nullptr) override;
   uint64_t IssueRead(uint32_t blkno, BlockData* out, IoCallback isr = nullptr) override;
-  Task<IoStatus> WaitFor(uint64_t id) override;
-  bool IsComplete(uint64_t id) const override { return completed_.contains(id); }
-  IoStatus CompletionStatus(uint64_t id) const override {
-    auto it = completed_.find(id);
-    return it == completed_.end() ? IoStatus::kOk : it->second;
-  }
-  size_t PendingCount() const override { return pending_indices_.size(); }
+  Task<IoStatus> WaitFor(uint64_t id) override { return gate_.WaitFor(id); }
+  bool IsComplete(uint64_t id) const override { return gate_.IsComplete(id); }
+  IoStatus CompletionStatus(uint64_t id) const override { return gate_.CompletionStatus(id); }
+  size_t PendingCount() const override { return gate_.PendingCount(); }
   Task<void> Drain() override;
-  bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const override;
+  bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const override {
+    return gate_.HasPendingWrite(blkno, count);
+  }
 
   const VolumeLayout& layout() const { return config_.layout; }
   size_t HeldCount() const { return held_.size(); }  // Gated, not yet forwarded.
 
  private:
-  struct VReq {
+  struct VReq : GatedRequest {
     uint64_t id = 0;
-    IoDir dir = IoDir::kRead;
-    uint32_t blkno = 0;
-    uint32_t count = 0;
-    bool flag = false;
-    std::vector<uint64_t> deps;
-    uint64_t issue_index = 0;
     uint32_t subs_outstanding = 0;
     IoStatus status = IoStatus::kOk;  // Worst sub-request status.
     std::vector<std::shared_ptr<const BlockData>> data;  // Writes.
@@ -115,39 +105,23 @@ class StripedVolume : public BlockDevice {
   };
 
   uint64_t Issue(std::unique_ptr<VReq> req);
-  // Mirrors DiskDriver::Eligible over incomplete volume requests.
-  bool Eligible(const VReq& r) const;
-  bool ConflictsWithEarlierWrite(const VReq& r) const;
   // Forwards every eligible held request, in issue order, to the disks.
   void TryDispatch();
   void Forward(VReq* r);
   void OnSubComplete(VReq* r, IoStatus status);
-  void IndexRequest(const VReq& r);
-  void UnindexRequest(const VReq& r);
-  void PruneFlaggedIndices();
 
-  Engine* engine_;
   std::vector<DiskDriver*> disks_;
   VolumeConfig config_;
 
   uint64_t next_id_ = 1;
-  uint64_t next_issue_index_ = 1;
+  // Indexes ALL incomplete requests (held + in-flight). "Pending" covers
+  // requests forwarded to a disk but not yet complete, matching the
+  // driver's in-service requests staying indexed until completion.
+  OrderingGate gate_;
   // Requests held at the ordering gate, issue order.
   std::list<std::unique_ptr<VReq>> held_;
-  // Forwarded but incomplete requests (keyed by id; kept indexed so they
-  // still constrain later requests, exactly like in-service driver
-  // requests).
+  // Forwarded but incomplete requests, keyed by id.
   std::unordered_map<uint64_t, std::unique_ptr<VReq>> in_flight_;
-
-  // Eligibility indexes over ALL incomplete requests (held + in-flight),
-  // mirroring the driver's.
-  std::set<uint64_t> pending_indices_;
-  std::set<uint64_t> pending_flagged_indices_;
-  std::unordered_map<uint32_t, std::set<uint64_t>> pending_writes_by_block_;
-  std::vector<uint64_t> flagged_indices_;  // Ascending; pruned as queue drains.
-
-  std::unordered_map<uint64_t, IoStatus> completed_;
-  std::unordered_map<uint64_t, std::unique_ptr<OneShotEvent>> waiters_;
   CondVar all_done_;
 
   Counter* stat_reads_ = nullptr;

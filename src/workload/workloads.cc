@@ -785,6 +785,33 @@ Task<void> UserRoot(Machine* m, Proc* proc, const UserFn* body, int index, Runne
   st->users_finished++;
 }
 
+// Issued requests and the successful completions' response and access
+// times, summed over every disk's driver counters and histograms.
+struct DriverTotals {
+  uint64_t requests = 0;
+  uint64_t responses = 0;
+  SimDuration response_ns = 0;
+  uint64_t accesses = 0;
+  SimDuration access_ns = 0;
+};
+
+DriverTotals SumDriverTotals(Machine& m) {
+  DriverTotals t;
+  for (size_t d = 0; d < m.NumDisks(); ++d) {
+    const std::string& inst = m.driver(d).config().instance;
+    const LatencyHistogram& resp =
+        m.stats().histogram(InstanceMetricName(inst, "disk.response_ns"));
+    const LatencyHistogram& access =
+        m.stats().histogram(InstanceMetricName(inst, "disk.access_ns"));
+    t.requests += m.driver(d).TotalRequests();
+    t.responses += resp.count();
+    t.response_ns += resp.sum();
+    t.accesses += access.count();
+    t.access_ns += access.sum();
+  }
+  return t;
+}
+
 }  // namespace
 
 RunMeasurement RunMultiUser(Machine& m, int num_users, const SetupFn& setup,
@@ -813,12 +840,7 @@ RunMeasurement RunMultiUser(Machine& m, int num_users, const SetupFn& setup,
   for (int u = 0; u < num_users; ++u) {
     cpu0[static_cast<size_t>(u)] = m.cpu().Charged(procs[static_cast<size_t>(u)].pid);
   }
-  std::vector<uint64_t> req0(m.NumDisks());
-  std::vector<size_t> trace0(m.NumDisks());
-  for (size_t d = 0; d < m.NumDisks(); ++d) {
-    req0[d] = m.driver(d).TotalRequests();
-    trace0[d] = m.driver(d).Traces().size();
-  }
+  const DriverTotals driver0 = SumDriverTotals(m);
   SimTime t0 = m.engine().Now();
 
   for (int u = 0; u < num_users; ++u) {
@@ -852,21 +874,15 @@ RunMeasurement RunMultiUser(Machine& m, int num_users, const SetupFn& setup,
     out.cpu_seconds_total += ToSeconds(us.cpu);
   }
   out.wall = t_users_done - t0;
-  double resp = 0;
-  double access = 0;
-  size_t n = 0;
-  for (size_t d = 0; d < m.NumDisks(); ++d) {
-    out.disk_requests += m.driver(d).TotalRequests() - req0[d];
-    const auto& traces = m.driver(d).Traces();
-    for (size_t i = trace0[d]; i < traces.size(); ++i) {
-      resp += ToMs(traces[i].ResponseTime());
-      access += ToMs(traces[i].AccessTime());
-      ++n;
-    }
+  const DriverTotals driver1 = SumDriverTotals(m);
+  out.disk_requests = driver1.requests - driver0.requests;
+  if (driver1.responses > driver0.responses) {
+    out.avg_response_ms = ToMs(driver1.response_ns - driver0.response_ns) /
+                          static_cast<double>(driver1.responses - driver0.responses);
   }
-  if (n > 0) {
-    out.avg_response_ms = resp / static_cast<double>(n);
-    out.avg_access_ms = access / static_cast<double>(n);
+  if (driver1.accesses > driver0.accesses) {
+    out.avg_access_ms = ToMs(driver1.access_ns - driver0.access_ns) /
+                        static_cast<double>(driver1.accesses - driver0.accesses);
   }
   out.stats_json = m.DumpStatsJson();
   return out;

@@ -151,9 +151,9 @@ struct UserStats {
 struct RunMeasurement {
   std::vector<UserStats> users;
   SimDuration wall = 0;            // Setup-to-last-finisher.
-  uint64_t disk_requests = 0;      // Device requests during the timed phase.
-  double avg_response_ms = 0;      // Driver response (queue + access).
-  double avg_access_ms = 0;        // Disk access time only.
+  uint64_t disk_requests = 0;      // Issued requests (merges included), timed phase.
+  double avg_response_ms = 0;      // Driver response (queue + access), successful requests.
+  double avg_access_ms = 0;        // Disk access time of each successful attempt.
   double cpu_seconds_total = 0;    // All users, timed phase.
   std::string stats_json;          // Machine::DumpStatsJson() at run end.
 

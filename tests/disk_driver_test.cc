@@ -2,17 +2,16 @@
 // discipline from the paper's section 3.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/disk/disk_image.h"
 #include "src/disk/disk_model.h"
 #include "src/driver/disk_driver.h"
 #include "src/sim/engine.h"
+#include "tests/driver_trace_util.h"
 
 namespace mufs {
 namespace {
@@ -23,14 +22,23 @@ std::shared_ptr<const BlockData> MakeBlock(uint8_t fill) {
   return b;
 }
 
-// Small fixture wiring an engine, model, image and driver together.
+// Small fixture wiring an engine, model, image and driver together. The
+// driver shares an external registry with tracing on, so tests read its
+// behaviour back from the JSONL trace.
 struct Rig {
-  explicit Rig(DriverConfig cfg = {}) : model(DiskGeometry{}), image(DiskGeometry{}.total_blocks) {
+  explicit Rig(OrderingRules rules = {})
+      : model(DiskGeometry{}), image(DiskGeometry{}.total_blocks) {
+    stats.SetClock([this] { return engine.Now(); });
+    stats.EnableTrace();
+    DriverConfig cfg;
+    cfg.ordering = rules;
+    cfg.stats = &stats;
     driver = std::make_unique<DiskDriver>(&engine, &model, &image, cfg);
   }
   Engine engine;
   DiskModel model;
   DiskImage image;
+  StatsRegistry stats;
   std::unique_ptr<DiskDriver> driver;
 
   uint64_t Write(uint32_t blk, uint8_t fill, OrderingTag tag = {}) {
@@ -38,11 +46,11 @@ struct Rig {
   }
 };
 
-// Completion order of a set of requests, by recording trace order.
+// Block numbers of the device requests, in completion order.
 std::vector<uint32_t> CompletionBlocks(const Rig& rig) {
   std::vector<uint32_t> out;
-  for (const auto& t : rig.driver->Traces()) {
-    out.push_back(t.blkno);
+  for (const Completion& c : Completions(rig.stats)) {
+    out.push_back(c.blkno);
   }
   return out;
 }
@@ -140,8 +148,9 @@ TEST(DriverSchedulingTest, SequentialWritesMergeIntoOneRequest) {
   rig.Write(202, 3);
   rig.engine.Run();
   EXPECT_EQ(rig.driver->MergedRequests(), 2u);
-  ASSERT_EQ(rig.driver->Traces().size(), 1u);
-  EXPECT_EQ(rig.driver->Traces()[0].count, 3u);
+  auto done = Completions(rig.stats);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].count, 3u);
   BlockData d;
   rig.image.Read(202, &d);
   EXPECT_EQ(d[0], 3);
@@ -154,22 +163,23 @@ TEST(DriverSchedulingTest, MergeRespectsSizeCap) {
   }
   rig.engine.Run();
   // 16-block cap: 20 sequential blocks need at least two device requests.
-  EXPECT_GE(rig.driver->Traces().size(), 2u);
-  for (const auto& t : rig.driver->Traces()) {
-    EXPECT_LE(t.count, 16u);
+  auto done = Completions(rig.stats);
+  EXPECT_GE(done.size(), 2u);
+  for (const Completion& c : done) {
+    EXPECT_LE(c.count, 16u);
   }
 }
 
 TEST(DriverSchedulingTest, FlaggedWritesDoNotMerge) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
   rig.Write(400, 1, OrderingTag{.flag = true, .deps = {}});
   rig.Write(401, 2, OrderingTag{.flag = true, .deps = {}});
   rig.engine.Run();
-  EXPECT_EQ(rig.driver->Traces().size(), 2u);
+  EXPECT_EQ(Completions(rig.stats).size(), 2u);
 }
 
 TEST(DriverFlagTest, PartHoldsLaterRequestsUntilFlaggedCompletes) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
   // Flagged write at a far position, then a near write issued after it.
   // C-LOOK alone would service 100 first; Part semantics forbid it.
   rig.Write(5000, 1, OrderingTag{.flag = true, .deps = {}});
@@ -179,7 +189,7 @@ TEST(DriverFlagTest, PartHoldsLaterRequestsUntilFlaggedCompletes) {
 }
 
 TEST(DriverFlagTest, PartAllowsEarlierRequestsToFloat) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
   // Non-flagged issued first at far position, then flagged. Part lets the
   // flagged request be serviced before the earlier non-flagged one if the
   // scheduler prefers, and lets the earlier one reorder with later ones.
@@ -198,7 +208,7 @@ TEST(DriverFlagTest, PartAllowsEarlierRequestsToFloat) {
 }
 
 TEST(DriverFlagTest, FullActsAsBarrierBothDirections) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kFull}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kFull}};
   rig.Write(9000, 1);
   rig.Write(200, 2, OrderingTag{.flag = true, .deps = {}});
   rig.Write(100, 3);
@@ -208,7 +218,7 @@ TEST(DriverFlagTest, FullActsAsBarrierBothDirections) {
 }
 
 TEST(DriverFlagTest, BackHoldsLaterBehindFlagAndItsPredecessors) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kBack}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kBack}};
   rig.Write(9000, 1);
   rig.Write(200, 2, OrderingTag{.flag = true, .deps = {}});
   rig.Write(100, 3);
@@ -223,7 +233,7 @@ TEST(DriverFlagTest, BackHoldsLaterBehindFlagAndItsPredecessors) {
 }
 
 TEST(DriverFlagTest, BackAllowsFlaggedToFloatWithPredecessors) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kBack}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kBack}};
   rig.Write(9000, 1);
   rig.Write(200, 2, OrderingTag{.flag = true, .deps = {}});
   rig.engine.Run();
@@ -233,9 +243,9 @@ TEST(DriverFlagTest, BackAllowsFlaggedToFloatWithPredecessors) {
 }
 
 TEST(DriverFlagTest, ReadsWaitBehindBarrierWithoutNr) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag,
-                       .semantics = FlagSemantics::kPart,
-                       .reads_bypass = false}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag,
+                        .semantics = FlagSemantics::kPart,
+                        .reads_bypass = false}};
   BlockData out;
   rig.Write(5000, 1, OrderingTag{.flag = true, .deps = {}});
   rig.driver->IssueRead(100, &out);
@@ -244,9 +254,9 @@ TEST(DriverFlagTest, ReadsWaitBehindBarrierWithoutNr) {
 }
 
 TEST(DriverFlagTest, NrLetsNonConflictingReadBypass) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag,
-                       .semantics = FlagSemantics::kPart,
-                       .reads_bypass = true}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag,
+                        .semantics = FlagSemantics::kPart,
+                        .reads_bypass = true}};
   BlockData out;
   rig.Write(5000, 1, OrderingTag{.flag = true, .deps = {}});
   rig.driver->IssueRead(100, &out);
@@ -255,9 +265,9 @@ TEST(DriverFlagTest, NrLetsNonConflictingReadBypass) {
 }
 
 TEST(DriverFlagTest, NrConflictingReadDoesNotBypass) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag,
-                       .semantics = FlagSemantics::kPart,
-                       .reads_bypass = true}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag,
+                        .semantics = FlagSemantics::kPart,
+                        .reads_bypass = true}};
   BlockData out;
   rig.Write(5000, 7, OrderingTag{.flag = true, .deps = {}});
   rig.driver->IssueRead(5000, &out);  // Same block: must see the write.
@@ -267,7 +277,7 @@ TEST(DriverFlagTest, NrConflictingReadDoesNotBypass) {
 }
 
 TEST(DriverChainTest, DependentRequestWaitsForDependency) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kChains}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kChains}};
   uint64_t first = rig.Write(5000, 1);
   rig.Write(100, 2, OrderingTag{.flag = false, .deps = {first}});
   rig.engine.Run();
@@ -275,7 +285,7 @@ TEST(DriverChainTest, DependentRequestWaitsForDependency) {
 }
 
 TEST(DriverChainTest, IndependentRequestsReorderFreely) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kChains}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kChains}};
   rig.Write(5000, 1);
   rig.Write(100, 2);  // No deps: C-LOOK takes 100 first.
   rig.engine.Run();
@@ -283,7 +293,7 @@ TEST(DriverChainTest, IndependentRequestsReorderFreely) {
 }
 
 TEST(DriverChainTest, ChainOfThreeServicesInOrder) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kChains}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kChains}};
   uint64_t a = rig.Write(9000, 1);
   uint64_t b = rig.Write(5000, 2, OrderingTag{.flag = false, .deps = {a}});
   rig.Write(100, 3, OrderingTag{.flag = false, .deps = {b}});
@@ -292,16 +302,16 @@ TEST(DriverChainTest, ChainOfThreeServicesInOrder) {
 }
 
 TEST(DriverChainTest, DependencyOnCompletedRequestIsSatisfied) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kChains}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kChains}};
   uint64_t a = rig.Write(100, 1);
   rig.engine.Run();
   rig.Write(200, 2, OrderingTag{.flag = false, .deps = {a}});
   rig.engine.Run();
-  EXPECT_EQ(rig.driver->Traces().size(), 2u);
+  EXPECT_EQ(Completions(rig.stats).size(), 2u);
 }
 
 TEST(DriverChainTest, ReadsNeverBlockedByChains) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kChains}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kChains}};
   uint64_t a = rig.Write(9000, 1);
   rig.Write(5000, 2, OrderingTag{.flag = false, .deps = {a}});
   BlockData out;
@@ -311,7 +321,7 @@ TEST(DriverChainTest, ReadsNeverBlockedByChains) {
 }
 
 TEST(DriverChainTest, DiamondDependencyRespected) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kChains}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kChains}};
   uint64_t a = rig.Write(9000, 1);
   uint64_t b = rig.Write(7000, 2, OrderingTag{.flag = false, .deps = {a}});
   uint64_t c = rig.Write(5000, 3, OrderingTag{.flag = false, .deps = {a}});
@@ -324,7 +334,7 @@ TEST(DriverChainTest, DiamondDependencyRespected) {
 }
 
 TEST(DriverIgnoreTest, NoneModeIgnoresFlags) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kNone}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kNone}};
   rig.Write(5000, 1, OrderingTag{.flag = true, .deps = {}});
   rig.Write(100, 2);
   rig.engine.Run();
@@ -335,9 +345,14 @@ TEST(DriverTraceTest, ResponseTimeDecomposes) {
   Rig rig;
   rig.Write(1000, 1);
   rig.engine.Run();
-  const auto& t = rig.driver->Traces().at(0);
-  EXPECT_EQ(t.QueueDelay() + t.AccessTime(), t.ResponseTime());
-  EXPECT_GT(t.AccessTime(), 0);
+  const LatencyHistogram& queue = rig.stats.histogram("disk.queue_ns");
+  const LatencyHistogram& access = rig.stats.histogram("disk.access_ns");
+  const LatencyHistogram& response = rig.stats.histogram("disk.response_ns");
+  ASSERT_EQ(response.count(), 1u);
+  EXPECT_EQ(queue.count(), 1u);
+  EXPECT_EQ(access.count(), 1u);
+  EXPECT_EQ(queue.sum() + access.sum(), response.sum());
+  EXPECT_GT(access.sum(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -346,41 +361,12 @@ TEST(DriverTraceTest, ResponseTimeDecomposes) {
 // runs instead of hand-picked completion orders.
 // ---------------------------------------------------------------------
 
-// A Rig whose driver shares an external registry with tracing on.
-struct TracedRig {
-  explicit TracedRig(DriverConfig cfg = {})
-      : model(DiskGeometry{}), image(DiskGeometry{}.total_blocks) {
-    stats.SetClock([this] { return engine.Now(); });
-    stats.EnableTrace();
-    cfg.stats = &stats;
-    driver = std::make_unique<DiskDriver>(&engine, &model, &image, cfg);
-  }
-  Engine engine;
-  DiskModel model;
-  DiskImage image;
-  StatsRegistry stats;
-  std::unique_ptr<DiskDriver> driver;
-};
-
-bool IsEvent(const std::string& line, std::string_view event) {
-  return line.find("\"event\":\"" + std::string(event) + "\"") != std::string::npos;
-}
-
-int64_t Field(const std::string& line, const std::string& key) {
-  size_t pos = line.find("\"" + key + "\":");
-  EXPECT_NE(pos, std::string::npos) << key << " missing in " << line;
-  if (pos == std::string::npos) {
-    return -1;
-  }
-  return std::atoll(line.c_str() + pos + key.size() + 3);
-}
-
 TEST(DriverTracePropertyTest, CLookNeverServicesOutOfSweepOrder) {
-  TracedRig rig;  // kNone: every pending request is eligible.
+  Rig rig;  // kNone: every pending request is eligible.
   // Scrambled far-apart single-block writes (no two adjacent, so nothing
   // concatenates) issued in bursts, so picks happen against many
   // different pending sets.
-  auto body = [](TracedRig* rig) -> Task<void> {
+  auto body = [](Rig* rig) -> Task<void> {
     constexpr uint32_t kBlocks[] = {9000, 120, 5400, 30,   7700, 2300, 880, 6100,
                                     40,   3500, 9900, 1500, 260,  4800, 710};
     int i = 0;
@@ -431,7 +417,7 @@ TEST(DriverTracePropertyTest, CLookNeverServicesOutOfSweepOrder) {
 }
 
 TEST(DriverTracePropertyTest, ConcatNeverMergesAcrossFlagBoundary) {
-  TracedRig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
   // Sequential run with a flagged request in the middle: neither the
   // flagged request nor its successor may concatenate.
   rig.driver->IssueWrite(500, {MakeBlock(1)});
@@ -463,7 +449,7 @@ TEST(DriverTracePropertyTest, ConcatNeverMergesAcrossFlagBoundary) {
 }
 
 TEST(DriverTracePropertyTest, ConcatNeverMergesOntoChainDependency) {
-  TracedRig rig{DriverConfig{.mode = OrderingMode::kChains}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kChains}};
   // b depends on a; merging them into one device transfer would deadlock,
   // so the sequential pair must stay two requests.
   uint64_t a = rig.driver->IssueWrite(700, {MakeBlock(1)});
@@ -492,7 +478,7 @@ TEST(DriverTracePropertyTest, ConcatNeverMergesOntoChainDependency) {
 }
 
 TEST(DriverTraceTest, HasPendingWriteSeesQueuedRange) {
-  Rig rig{DriverConfig{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
+  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
   rig.Write(5000, 1, OrderingTag{.flag = true, .deps = {}});
   rig.Write(600, 2);
   EXPECT_TRUE(rig.driver->HasPendingWrite(600));

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "tests/driver_trace_util.h"
 #include "tests/fault_test_util.h"
 
 namespace mufs {
@@ -23,9 +25,14 @@ TEST(DriverRetryTest, TransientErrorRetriesThenSucceeds) {
   BlockData d;
   rig.image.Read(30, &d);
   EXPECT_EQ(d[0], 0xab);
-  ASSERT_EQ(rig.driver->Traces().size(), 1u);
-  EXPECT_EQ(rig.driver->Traces()[0].retries, 1u);
-  EXPECT_EQ(rig.driver->Traces()[0].status, IoStatus::kOk);
+  auto done = Completions(rig.stats());
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].retries, 1u);
+  EXPECT_TRUE(done[0].ok);
+  // A retried request still gets one queue-delay sample, taken when its
+  // service starts.
+  EXPECT_EQ(rig.driver->stats()->histogram("disk.queue_ns").count(), 1u);
+  EXPECT_EQ(rig.driver->stats()->histogram("disk.response_ns").count(), 1u);
 }
 
 TEST(DriverRetryTest, ExponentialBackoffIsBoundedByCap) {
@@ -139,10 +146,10 @@ TEST(DriverRetryTest, CLookOrderSurvivesARetriedRequest) {
   rig.engine.Run();
   std::vector<uint32_t> order;
   uint32_t total_retries = 0;
-  for (const auto& t : rig.driver->Traces()) {
-    order.push_back(t.blkno);
-    total_retries += t.retries;
-    EXPECT_EQ(t.status, IoStatus::kOk);
+  for (const Completion& c : Completions(rig.stats())) {
+    order.push_back(c.blkno);
+    total_retries += c.retries;
+    EXPECT_TRUE(c.ok);
   }
   EXPECT_EQ(order, (std::vector<uint32_t>{100, 300, 500, 700}));
   EXPECT_EQ(total_retries, 1u);
@@ -154,9 +161,10 @@ TEST(DriverRetryTest, ConcatenatedRequestRetriesAsAWhole) {
   uint64_t a = rig.Write(200, 0x01);
   uint64_t b = rig.Write(201, 0x02);  // Merged into the previous request.
   rig.engine.Run();
-  ASSERT_EQ(rig.driver->Traces().size(), 1u);
-  EXPECT_EQ(rig.driver->Traces()[0].count, 2u);
-  EXPECT_EQ(rig.driver->Traces()[0].retries, 1u);
+  auto done = Completions(rig.stats());
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].count, 2u);
+  EXPECT_EQ(done[0].retries, 1u);
   EXPECT_EQ(rig.driver->CompletionStatus(a), IoStatus::kOk);
   EXPECT_EQ(rig.driver->CompletionStatus(b), IoStatus::kOk);
   BlockData d;
@@ -182,7 +190,7 @@ TEST(QueuedRetryTest, TransientErrorKeepsQueueSiblings) {
   rig.engine.Run();
   EXPECT_EQ(rig.Counter("driver.retries"), 1u);
   EXPECT_EQ(rig.Counter("driver.gave_up"), 0u);
-  ASSERT_EQ(rig.driver->Traces().size(), 4u);
+  ASSERT_EQ(Completions(rig.stats()).size(), 4u);
   for (uint64_t id : {a, b, c, d}) {
     EXPECT_EQ(rig.driver->CompletionStatus(id), IoStatus::kOk);
   }
@@ -207,7 +215,7 @@ TEST(QueuedRetryTest, BadSectorRemapKeepsQueueSiblings) {
   for (uint64_t id : {bad, s1, s2}) {
     EXPECT_EQ(rig.driver->CompletionStatus(id), IoStatus::kOk);
   }
-  ASSERT_EQ(rig.driver->Traces().size(), 3u);
+  ASSERT_EQ(Completions(rig.stats()).size(), 3u);
   BlockData blk;
   rig.image.Read(60, &blk);
   EXPECT_EQ(blk[0], 0x33);
@@ -230,8 +238,7 @@ TEST(QueuedRetryTest, StallTimeoutKeepsQueueSiblings) {
 TEST(QueuedRetryTest, OrderedTagsHoldAcrossARetry) {
   DriverConfig cfg;
   cfg.queue_depth = 4;
-  cfg.mode = OrderingMode::kFlag;
-  cfg.semantics = FlagSemantics::kPart;
+  cfg.ordering = {.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart};
   FaultRig rig({}, cfg);
   // First serviced attempt fails: the retried command must neither let a
   // sibling pass its ordered barrier nor lose its own slot.
@@ -242,10 +249,10 @@ TEST(QueuedRetryTest, OrderedTagsHoldAcrossARetry) {
   rig.engine.Run();
   std::vector<uint32_t> order;
   uint32_t retries = 0;
-  for (const auto& t : rig.driver->Traces()) {
-    order.push_back(t.blkno);
-    retries += t.retries;
-    EXPECT_EQ(t.status, IoStatus::kOk);
+  for (const Completion& c : Completions(rig.stats())) {
+    order.push_back(c.blkno);
+    retries += c.retries;
+    EXPECT_TRUE(c.ok);
   }
   // RPO would prefer 100 first; the ordered tag at 300 pins acceptance
   // order 500, 300, 100 even though the retry happens mid-queue.
@@ -388,29 +395,25 @@ TEST(QueuedRetryTest, SilentDamageCompletesQueueSiblingsWithoutRetry) {
 }
 
 TEST(DriverRetryTest, SameSeedProducesIdenticalFaultSchedules) {
-  auto run = [](std::vector<RequestTrace>* traces, uint64_t* retries) {
+  auto run = [](std::vector<std::string>* trace, uint64_t* retries) {
     FaultConfig fc = FaultConfig::Uniform(0.2, 99);
     FaultRig rig(fc);
     for (uint32_t i = 0; i < 40; ++i) {
       rig.Write(100 + i * 7, static_cast<uint8_t>(i));
     }
     rig.engine.Run();
-    *traces = rig.driver->Traces();
+    *trace = rig.stats().trace_lines();
     *retries = rig.Counter("driver.retries");
   };
-  std::vector<RequestTrace> t1, t2;
+  std::vector<std::string> t1, t2;
   uint64_t r1 = 0, r2 = 0;
   run(&t1, &r1);
   run(&t2, &r2);
   EXPECT_GT(r1, 0u);  // At 20% the schedule is certainly non-trivial.
   EXPECT_EQ(r1, r2);
-  ASSERT_EQ(t1.size(), t2.size());
-  for (size_t i = 0; i < t1.size(); ++i) {
-    EXPECT_EQ(t1[i].blkno, t2[i].blkno);
-    EXPECT_EQ(t1[i].retries, t2[i].retries);
-    EXPECT_EQ(t1[i].status, t2[i].status);
-    EXPECT_EQ(t1[i].complete_time, t2[i].complete_time);
-  }
+  // Every issue, fault, retry, service and completion, with its time.
+  EXPECT_FALSE(t1.empty());
+  EXPECT_EQ(t1, t2);
 }
 
 }  // namespace

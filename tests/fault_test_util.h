@@ -31,7 +31,8 @@ inline std::shared_ptr<const BlockData> MakeBlock(uint8_t fill) {
 }
 
 // Engine + model + image + injector + driver wired together. The injector
-// is declared before the driver so it outlives it.
+// is declared before the driver so it outlives it. The driver's registry
+// traces, so tests read per-request outcomes back from the JSONL trace.
 struct FaultRig {
   explicit FaultRig(FaultConfig fault_cfg = {}, DriverConfig cfg = {})
       : model(DiskGeometry{}),
@@ -39,6 +40,7 @@ struct FaultRig {
         faults(fault_cfg) {
     cfg.faults = &faults;
     driver = std::make_unique<DiskDriver>(&engine, &model, &image, cfg);
+    driver->stats()->EnableTrace();
   }
   Engine engine;
   DiskModel model;
@@ -50,6 +52,7 @@ struct FaultRig {
     return driver->IssueWrite(blk, {MakeBlock(fill)}, tag);
   }
   uint64_t Counter(const char* name) { return driver->stats()->counter(name).value(); }
+  const StatsRegistry& stats() const { return *driver->stats(); }
 };
 
 // Runs a waiter coroutine to completion and returns the terminal status

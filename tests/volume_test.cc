@@ -248,6 +248,108 @@ TEST(MultiDiskTest, FineStripingSplitsSpanningWrites) {
   EXPECT_GT(m.stats().counter("disk1.busy_ns").value(), 0u);
 }
 
+// --- volume ordering gate -------------------------------------------
+
+MachineConfig GateConfig(Scheme scheme, FlagSemantics semantics = FlagSemantics::kPart,
+                         bool reads_bypass = false) {
+  MachineConfig cfg;
+  cfg.scheme = scheme;
+  cfg.flag_semantics = semantics;
+  cfg.reads_bypass = reads_bypass;
+  cfg.disks = 2;
+  return cfg;
+}
+
+// A 2-disk machine whose volume gate runs one scheduler scheme's rules.
+// Nothing is booted: the tests issue requests to the volume directly.
+struct GateRig {
+  explicit GateRig(const MachineConfig& cfg) : m(cfg), vol(m.volume()) {}
+
+  uint64_t Write(uint32_t disk, uint32_t local, OrderingTag tag = {}) {
+    return vol->IssueWrite(vol->layout().ToVolume(disk, local), {std::make_shared<BlockData>()},
+                           std::move(tag));
+  }
+  uint64_t Read(uint32_t disk, uint32_t local) {
+    return vol->IssueRead(vol->layout().ToVolume(disk, local), &out);
+  }
+  uint64_t Held() { return m.stats().counter("volume.held").value(); }
+
+  // Runs until every `boundary` request has completed, checking after
+  // each event that `later` is the one request held at the gate. The gate
+  // must forward it at that completion, and it then completes cleanly.
+  void ExpectHeldUntilComplete(const std::vector<uint64_t>& boundary, uint64_t later) {
+    ASSERT_EQ(vol->HeldCount(), 1u);
+    m.engine().RunUntil([&] {
+      for (uint64_t id : boundary) {
+        if (!vol->IsComplete(id)) {
+          EXPECT_EQ(vol->HeldCount(), 1u);
+          EXPECT_FALSE(vol->IsComplete(later));
+          return false;
+        }
+      }
+      return true;
+    });
+    EXPECT_EQ(vol->HeldCount(), 0u);
+    EXPECT_FALSE(vol->IsComplete(later));
+    m.engine().RunUntil([&] { return vol->IsComplete(later); });
+    EXPECT_EQ(vol->CompletionStatus(later), IoStatus::kOk);
+  }
+
+  Machine m;
+  StripedVolume* vol;
+  BlockData out;
+};
+
+const OrderingTag kFlagged{.flag = true, .deps = {}};
+
+TEST(VolumeGateTest, PartHoldsLaterRequestOnOtherDiskBehindFlag) {
+  GateRig rig(GateConfig(Scheme::kSchedulerFlag, FlagSemantics::kPart));
+  uint64_t flagged = rig.Write(0, 100, kFlagged);
+  uint64_t later = rig.Write(1, 100);
+  EXPECT_EQ(rig.Held(), 1u);
+  rig.ExpectHeldUntilComplete({flagged}, later);
+}
+
+TEST(VolumeGateTest, BackHoldsLaterRequestBehindFlagAndItsPredecessors) {
+  GateRig rig(GateConfig(Scheme::kSchedulerFlag, FlagSemantics::kBack));
+  // Disk 0's C-LOOK services the flagged write (block 100) before its
+  // earlier predecessor (block 5000). Part would release `later` at the
+  // flagged completion; Back waits for the predecessor too.
+  uint64_t before = rig.Write(0, 5000);
+  uint64_t flagged = rig.Write(0, 100, kFlagged);
+  uint64_t later = rig.Write(1, 100);
+  EXPECT_EQ(rig.Held(), 1u);
+  rig.ExpectHeldUntilComplete({before, flagged}, later);
+}
+
+TEST(VolumeGateTest, FullHoldsFlaggedRequestBehindEveryEarlierRequest) {
+  GateRig rig(GateConfig(Scheme::kSchedulerFlag, FlagSemantics::kFull));
+  // Under Part or Back the flagged write would start at once.
+  uint64_t before = rig.Write(0, 100);
+  uint64_t flagged = rig.Write(1, 100, kFlagged);
+  EXPECT_EQ(rig.Held(), 1u);
+  rig.ExpectHeldUntilComplete({before}, flagged);
+}
+
+TEST(VolumeGateTest, NrReadBypassesFlagButNotAConflictingWrite) {
+  GateRig rig(GateConfig(Scheme::kSchedulerFlag, FlagSemantics::kPart, /*reads_bypass=*/true));
+  uint64_t write = rig.Write(1, 200);
+  rig.Write(0, 100, kFlagged);
+  rig.Read(1, 300);  // Issued after the flag, yet not held: -NR.
+  uint64_t conflicting = rig.Read(1, 200);
+  EXPECT_EQ(rig.Held(), 1u);
+  rig.ExpectHeldUntilComplete({write}, conflicting);
+}
+
+TEST(VolumeGateTest, ChainsHoldDependentRequestOnOtherDisk) {
+  GateRig rig(GateConfig(Scheme::kSchedulerChains));
+  uint64_t dep = rig.Write(0, 100);
+  rig.Write(0, 5000);  // Independent: not held.
+  uint64_t later = rig.Write(1, 100, OrderingTag{.flag = false, .deps = {dep}});
+  EXPECT_EQ(rig.Held(), 1u);
+  rig.ExpectHeldUntilComplete({dep}, later);
+}
+
 // --- determinism ----------------------------------------------------
 
 std::string RunFourDiskStats(Scheme scheme) {
