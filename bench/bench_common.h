@@ -26,8 +26,6 @@ namespace mufs {
 // --disks=N builds a striped multi-disk volume with sharded metadata
 // (1 = the exact single-disk machine) and --stripe-unit=K sets its
 // chunk size in blocks (0 keeps the machine default).
-// --fsck-threads=N runs boot-time crash recovery (and any harness-side
-// fsck) on N worker threads (0 = serial, byte-identical results).
 // --staleness-ns=N bounds how long an Async-scheme update may stay
 // visible-but-not-durable (0 keeps the machine default).
 struct BenchArgs {
@@ -40,7 +38,6 @@ struct BenchArgs {
   uint32_t disks = 1;
   uint32_t stripe_unit = 0;
   uint32_t shards = 0;         // 0 = one shard per disk.
-  uint32_t fsck_threads = 0;   // 0 = serial recovery.
   uint64_t staleness_ns = 0;   // 0 = machine default (Async scheme only).
 };
 
@@ -102,13 +99,6 @@ inline BenchArgs ParseBenchArgs(int* argc, char** argv, int default_users = 0) {
       } else {
         std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
       }
-    } else if (a.rfind("--fsck-threads=", 0) == 0) {
-      int n = std::atoi(argv[i] + 15);
-      if (n >= 0) {
-        args.fsck_threads = static_cast<uint32_t>(n);
-      } else {
-        std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
-      }
     } else if (a.rfind("--staleness-ns=", 0) == 0) {
       args.staleness_ns = std::strtoull(argv[i] + 15, nullptr, 10);
     } else {
@@ -131,8 +121,6 @@ inline void ApplyFaultArgs(MachineConfig* cfg, const BenchArgs& args) {
     cfg->stripe_unit = args.stripe_unit;
   }
   cfg->shards = args.shards;  // 0 (the default) = one shard per disk.
-  // 0 (the default) keeps boot-time recovery serial (byte-identical).
-  cfg->recovery_threads = args.fsck_threads;
   if (args.staleness_ns > 0) {
     cfg->async_staleness_window = static_cast<SimDuration>(args.staleness_ns);
   }

@@ -1,14 +1,13 @@
-// Parallel fsck/repair benchmark: wall-clock check and repair time over
-// deterministic crash images, serial (threads=0) vs the threaded
-// pipeline (src/fsck/pfsck.h) at 2/4/8 workers, on single-disk and
-// 4-disk sharded volumes.
+// Crash-recovery benchmark: wall-clock fsck check and repair time over
+// deterministic crash images, single-disk and 4-disk sharded volumes.
 //
 // This is the recovery-time companion to the paper's update-performance
 // tables: metadata-update schemes are judged by BOTH steady-state
-// throughput and how long the post-crash check takes. The threaded
-// checker attacks the second axis without changing the first (threads=0
-// is byte-identical to the serial checker, enforced by the pfsck test
-// battery; this bench re-asserts report identity on every cell).
+// throughput and how long the post-crash check takes. Check and repair
+// are serial and in place (src/fsck/pfsck.h); the extract column times
+// the reference that checks each shard on an extracted copy instead.
+// Every cell re-checks its in-place report against that reference and
+// the binary exits non-zero on a mismatch.
 //
 // Extra flags (on top of bench_common's shared set):
 //   --quick            small workload only, fewer timing repetitions
@@ -25,6 +24,7 @@
 #include "src/fsck/crash_harness.h"
 #include "src/fsck/fsck.h"
 #include "src/fsck/pfsck.h"
+#include "tests/fsck_reference.h"
 
 namespace mufs {
 namespace {
@@ -71,36 +71,31 @@ ShardLayout LayoutOf(const MachineConfig& cfg) {
   return layout;
 }
 
-bool ReportsMatch(const FsckReport& a, const FsckReport& b) {
-  if (a.violations.size() != b.violations.size() || a.fixables.size() != b.fixables.size() ||
-      a.inodes_in_use != b.inodes_in_use || a.blocks_claimed != b.blocks_claimed) {
-    return false;
-  }
-  for (size_t i = 0; i < a.violations.size(); ++i) {
-    if (a.violations[i].detail != b.violations[i].detail) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.fixables.size(); ++i) {
-    if (a.fixables[i].detail != b.fixables[i].detail) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct Cell {
   std::string config;
   uint32_t disks = 1;
-  uint32_t threads = 0;
   uint32_t inodes_in_use = 0;
   size_t findings = 0;
   double check_ms = 0;
   double repair_ms = 0;
-  double check_speedup = 1.0;
-  double repair_speedup = 1.0;
+  double extract_check_ms = 0;
   PfsckStats stats;
 };
+
+// Best-of-`reps` wall-clock milliseconds of fn().
+template <typename Fn>
+double BestMs(int reps, Fn&& fn) {
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    int64_t t0 = WallNs();
+    fn();
+    double ms = static_cast<double>(WallNs() - t0) / 1e6;
+    if (r == 0 || ms < best) {
+      best = ms;
+    }
+  }
+  return best;
+}
 
 int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
   struct Size {
@@ -113,19 +108,15 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
     sizes.push_back({"large", 8, 90});
   }
   const int reps = quick ? 2 : 3;
-  const uint32_t kThreads[] = {0, 2, 4, 8};
 
   const unsigned cores = std::thread::hardware_concurrency();
-  printf("Parallel fsck/repair: wall-clock check + repair of crash images (best of %d, "
-         "%u core%s)\n",
+  printf("Crash recovery: serial in-place fsck check + repair of crash images "
+         "(best of %d, %u core%s)\n",
          reps, cores, cores == 1 ? "" : "s");
-  if (cores <= 1) {
-    printf("NOTE: single-core host - threaded cells measure overhead only;\n");
-    printf("speedup requires as many physical cores as worker threads.\n");
-  }
   PrintRule(110);
-  printf("%-16s %8s %8s %8s %12s %10s %12s %10s %10s %8s\n", "Config", "Disks", "Threads",
-         "Inodes", "Check(ms)", "Speedup", "Repair(ms)", "Speedup", "Conflicts", "Steals");
+  printf("%-16s %6s %8s %9s %10s %11s %12s %12s %12s %12s\n", "Config", "Disks", "Inodes",
+         "Findings", "Check(ms)", "Repair(ms)", "Extract(ms)", "Scan(ms)", "Walk(ms)",
+         "Audit(ms)");
   PrintRule(110);
 
   StatsSidecar sidecar("bench_fsck", args);
@@ -143,94 +134,60 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
       uint64_t total_writes = harness.MeasureWrites(churn);
       // Crash INSIDE the final flush burst: most metadata has reached the
       // disk (a rich directory tree to walk) but the last few writes are
-      // still in flight (real findings to merge).
+      // still in flight (real findings to report).
       uint64_t crash_at = total_writes > 12 ? total_writes - 12 : total_writes * 5 / 6;
-      DiskImage crash = harness.CrashImageAtWrite(churn, crash_at);
-      ShardLayout layout = LayoutOf(cfg);
-      std::string config = std::string(size.name) + "_" + std::to_string(disks) + "d";
+      const DiskImage crash = harness.CrashImageAtWrite(churn, crash_at);
+      const ShardLayout layout = LayoutOf(cfg);
+      FsckOptions opts;
+      opts.check_stale_data = true;
 
-      FsckReport serial_report;
-      double serial_check_ms = 0;
-      double serial_repair_ms = 0;
-      for (uint32_t threads : kThreads) {
-        FsckOptions opts;
-        opts.check_stale_data = true;
-        opts.threads = threads;
-        Cell cell;
-        cell.config = config;
-        cell.disks = disks;
-        cell.threads = threads;
-
-        FsckReport report;
-        double best_check = 0;
-        for (int r = 0; r < reps; ++r) {
-          PfsckStats stats;
-          int64_t t0 = WallNs();
-          report = PfsckCheckSharded(crash, layout, opts, &stats);
-          double ms = static_cast<double>(WallNs() - t0) / 1e6;
-          if (r == 0 || ms < best_check) {
-            best_check = ms;
-            cell.stats = stats;
-          }
-        }
-        double best_repair = 0;
-        for (int r = 0; r < reps; ++r) {
-          DiskImage copy = crash.Snapshot();
-          int64_t t0 = WallNs();
-          FsckRepairReport rep;
-          PfsckRepairSharded(&copy, layout, opts, &rep);
-          double ms = static_cast<double>(WallNs() - t0) / 1e6;
-          if (r == 0 || ms < best_repair) {
-            best_repair = ms;
-          }
-        }
-
-        cell.inodes_in_use = report.inodes_in_use;
-        cell.findings = report.violations.size() + report.fixables.size();
-        cell.check_ms = best_check;
-        cell.repair_ms = best_repair;
-        if (threads == 0) {
-          serial_report = report;
-          serial_check_ms = best_check;
-          serial_repair_ms = best_repair;
-        } else if (!ReportsMatch(serial_report, report)) {
-          fprintf(stderr, "ERROR: %s threads=%u report differs from serial\n",
-                  config.c_str(), threads);
-          mismatch = true;
-        }
-        cell.check_speedup = cell.check_ms > 0 ? serial_check_ms / cell.check_ms : 1.0;
-        cell.repair_speedup = cell.repair_ms > 0 ? serial_repair_ms / cell.repair_ms : 1.0;
-        cells.push_back(cell);
-
-        printf("%-16s %8u %8u %8u %12.3f %9.2fx %12.3f %9.2fx %10llu %8llu\n",
-               config.c_str(), disks, threads, cell.inodes_in_use, cell.check_ms,
-               cell.check_speedup, cell.repair_ms, cell.repair_speedup,
-               static_cast<unsigned long long>(cell.stats.merge_conflicts),
-               static_cast<unsigned long long>(cell.stats.work_steals));
-
-        char json[512];
-        snprintf(json, sizeof(json),
-                 "{\"threads\":%u,\"check_ms\":%.3f,\"repair_ms\":%.3f,"
-                 "\"inode_scan_ns\":%lld,\"dir_walk_ns\":%lld,\"merge_ns\":%lld,"
-                 "\"audit_ns\":%lld,\"work_steals\":%llu,\"merge_conflicts\":%llu,"
-                 "\"shard_checks\":%llu,\"findings\":%zu}",
-                 threads, cell.check_ms, cell.repair_ms,
-                 static_cast<long long>(cell.stats.inode_scan_ns),
-                 static_cast<long long>(cell.stats.dir_walk_ns),
-                 static_cast<long long>(cell.stats.merge_ns),
-                 static_cast<long long>(cell.stats.audit_ns),
-                 static_cast<unsigned long long>(cell.stats.work_steals),
-                 static_cast<unsigned long long>(cell.stats.merge_conflicts),
-                 static_cast<unsigned long long>(cell.stats.shard_checks), cell.findings);
-        sidecar.Append(config + "/t" + std::to_string(threads), json);
+      Cell cell;
+      cell.config = std::string(size.name) + "_" + std::to_string(disks) + "d";
+      cell.disks = disks;
+      FsckReport report;
+      cell.check_ms = BestMs(reps, [&] {
+        cell.stats = {};
+        report = PfsckCheckSharded(crash, layout, opts, &cell.stats);
+      });
+      std::vector<DiskImage> copies(reps, crash);  // Copied outside the timing.
+      size_t next = 0;
+      cell.repair_ms = BestMs(reps, [&] { PfsckRepairSharded(&copies[next++], layout, opts); });
+      FsckReport reference;
+      cell.extract_check_ms =
+          BestMs(reps, [&] { reference = ReferenceCheckSharded(crash, layout, opts); });
+      std::string diff = ReportDifference(reference, report);
+      if (!diff.empty()) {
+        fprintf(stderr, "ERROR: %s in-place report differs from the reference: %s\n",
+                cell.config.c_str(), diff.c_str());
+        mismatch = true;
       }
+      cell.inodes_in_use = report.inodes_in_use;
+      cell.findings = report.violations.size() + report.fixables.size();
+      cells.push_back(cell);
+
+      printf("%-16s %6u %8u %9zu %10.3f %11.3f %12.3f %12.3f %12.3f %12.3f\n",
+             cell.config.c_str(), disks, cell.inodes_in_use, cell.findings, cell.check_ms,
+             cell.repair_ms, cell.extract_check_ms,
+             static_cast<double>(cell.stats.inode_scan_ns) / 1e6,
+             static_cast<double>(cell.stats.dir_walk_ns) / 1e6,
+             static_cast<double>(cell.stats.audit_ns) / 1e6);
+
+      char json[512];
+      snprintf(json, sizeof(json),
+               "{\"check_ms\":%.3f,\"repair_ms\":%.3f,\"extract_check_ms\":%.3f,"
+               "\"inode_scan_ns\":%llu,\"dir_walk_ns\":%llu,\"audit_ns\":%llu,"
+               "\"findings\":%zu}",
+               cell.check_ms, cell.repair_ms, cell.extract_check_ms,
+               static_cast<unsigned long long>(cell.stats.inode_scan_ns),
+               static_cast<unsigned long long>(cell.stats.dir_walk_ns),
+               static_cast<unsigned long long>(cell.stats.audit_ns), cell.findings);
+      sidecar.Append(cell.config, json);
     }
   }
   PrintRule(110);
-  printf("Expected shape (multi-core hosts): multi-disk volumes check near-linearly\n");
-  printf("(one worker per shard region); single-disk images gain from the pipelined\n");
-  printf("inode-scan + directory-walk phases. threads=0 is the byte-identical serial\n");
-  printf("baseline; every threaded cell is re-checked against its report above.\n");
+  printf("Check and repair run serially, each shard in place. Extract is the reference\n");
+  printf("check of each shard on an extracted copy; every in-place report above was\n");
+  printf("re-checked against it. Scan/Walk/Audit split the last check by pass.\n");
 
   // Perf-trajectory summary (consumed by CI as BENCH_fsck.json).
   std::string path = json_out.empty() ? "BENCH_fsck.json" : json_out;
@@ -240,11 +197,10 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
     for (size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
       fprintf(f,
-              "    {\"config\": \"%s\", \"disks\": %u, \"threads\": %u, "
-              "\"check_ms\": %.3f, \"check_speedup\": %.2f, \"repair_ms\": %.3f, "
-              "\"repair_speedup\": %.2f}%s\n",
-              c.config.c_str(), c.disks, c.threads, c.check_ms, c.check_speedup,
-              c.repair_ms, c.repair_speedup, i + 1 < cells.size() ? "," : "");
+              "    {\"config\": \"%s\", \"disks\": %u, \"inodes\": %u, \"check_ms\": %.3f, "
+              "\"repair_ms\": %.3f, \"extract_check_ms\": %.3f}%s\n",
+              c.config.c_str(), c.disks, c.inodes_in_use, c.check_ms, c.repair_ms,
+              c.extract_check_ms, i + 1 < cells.size() ? "," : "");
     }
     fprintf(f, "  ]\n}\n");
     fclose(f);

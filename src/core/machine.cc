@@ -1,9 +1,5 @@
 #include "src/core/machine.h"
 
-#include <atomic>
-#include <cstring>
-#include <thread>
-
 #include "src/async/async_policy.h"
 #include "src/core/softupdates/soft_updates_policy.h"
 #include "src/journal/journal_policy.h"
@@ -296,59 +292,9 @@ Task<void> Machine::Boot(Proc& proc) {
     // before the file systems read anything from it - each shard's
     // journal in place in its own region.
     last_replay_ = {};
-    std::vector<JournalReplayReport> reports(fss_.size());
-    if (config_.recovery_threads > 1 && fss_.size() > 1) {
-      // Parallel recovery: replay each shard's log against an extracted
-      // copy of its region (shards are disjoint), then merge changed
-      // blocks back serially in shard order. Replay of identical content
-      // is skipped by the diff, which is unobservable: fsck treats
-      // never-written and written-all-zero blocks identically, and every
-      // content-changing replay write is reproduced.
-      std::vector<DiskImage> regions;
-      regions.reserve(fss_.size());
-      for (size_t s = 0; s < fss_.size(); ++s) {
-        regions.push_back(image_->ExtractRegion(ShardBase(s), ShardBlocks()));
-      }
-      std::atomic<size_t> next{0};
-      std::vector<std::thread> pool;
-      size_t workers = std::min<size_t>(config_.recovery_threads, fss_.size());
-      for (size_t t = 0; t < workers; ++t) {
-        pool.emplace_back([&] {
-          while (true) {
-            size_t s = next.fetch_add(1);
-            if (s >= reports.size()) {
-              break;
-            }
-            reports[s] = JournalRecovery(&regions[s], 0).Run();
-          }
-        });
-      }
-      for (auto& th : pool) {
-        th.join();
-      }
-      for (size_t s = 0; s < fss_.size(); ++s) {
-        const uint32_t base = ShardBase(s);
-        for (uint32_t blkno : regions[s].WrittenBlocks()) {
-          BlockData replayed;
-          regions[s].Read(blkno, &replayed);
-          BlockData current;
-          image_->Read(base + blkno, &current);
-          if (memcmp(replayed.data(), current.data(), replayed.size()) != 0) {
-            image_->Write(base + blkno, replayed, image_->LastWriteTime());
-          }
-        }
-      }
-    } else {
-      for (size_t s = 0; s < fss_.size(); ++s) {
-        reports[s] = JournalRecovery(image_.get(), ShardBase(s)).Run();
-      }
-    }
-    for (const JournalReplayReport& r : reports) {
-      last_replay_.journal_present = last_replay_.journal_present || r.journal_present;
-      last_replay_.txns_replayed += r.txns_replayed;
-      last_replay_.blocks_replayed += r.blocks_replayed;
-      last_replay_.log_blocks_scanned += r.log_blocks_scanned;
-      last_replay_.torn_tail = last_replay_.torn_tail || r.torn_tail;
+    for (size_t s = 0; s < fss_.size(); ++s) {
+      JournalReplayReport r = JournalRecovery(image_.get(), ShardBase(s)).Run();
+      last_replay_.Add(r);
       if (r.torn_tail) {
         stats_->counter("journal.replay_torn_tails").Inc();
       }

@@ -138,14 +138,6 @@ struct MachineConfig {
   // i486 either way.
   uint32_t cpus = 0;
 
-  // Worker threads for boot-time crash recovery (per-shard journal
-  // replay) and for harness-side fsck when plumbed through (see
-  // FsckOptions::threads). 0/1 = the serial path, byte-identical
-  // recovered images and stats guaranteed. >= 2 replays shard regions
-  // concurrently on real std::threads (outside the sim clock - recovery
-  // happens "before" simulated time resumes) with a serial merge-back.
-  uint32_t recovery_threads = 0;
-
   DiskGeometry geometry;
   size_t cache_capacity_blocks = 8192;
   SyncerConfig syncer;

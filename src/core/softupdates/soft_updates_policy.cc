@@ -194,12 +194,14 @@ Task<void> SoftUpdatesPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<
       continue;
     }
     AllocDep* dep = it->second;
-    BlockDeps* cbd = FindDeps(dep->carrier_blkno);
+    // Read before the erase below destroys `dep`.
+    const uint32_t carrier = dep->carrier_blkno;
+    BlockDeps* cbd = FindDeps(carrier);
     if (cbd != nullptr) {
       UnpinInode(dep->owner_ino);
       std::erase_if(cbd->allocs,
                     [dep](const std::unique_ptr<AllocDep>& d) { return d.get() == dep; });
-      MaybeErase(dep->carrier_blkno);
+      MaybeErase(carrier);
     }
     newblk_.erase(it);
   }

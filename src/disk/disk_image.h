@@ -24,21 +24,25 @@ using BlockData = std::array<uint8_t, kBlockSize>;
 // the rest of the block keeps its previous stable content.
 constexpr size_t kTornPersistBytes = kBlockSize / 2;
 
+// What every never-written block reads as.
+inline constexpr BlockData kZeroBlock{};
+
 class DiskImage {
  public:
   explicit DiskImage(uint32_t total_blocks) : total_blocks_(total_blocks) {}
 
   uint32_t TotalBlocks() const { return total_blocks_; }
 
-  // Copies a block's stable content into `out`. Unwritten blocks are zero.
-  void Read(uint32_t blkno, BlockData* out) const {
+  // Zero-copy read of a block's stable content; unwritten blocks view
+  // kZeroBlock. A written block's view follows later writes to that
+  // block and stays valid until the image is destroyed or assigned.
+  const BlockData& View(uint32_t blkno) const {
     auto it = blocks_.find(blkno);
-    if (it == blocks_.end()) {
-      out->fill(0);
-    } else {
-      *out = it->second;
-    }
+    return it == blocks_.end() ? kZeroBlock : it->second;
   }
+
+  // Copies a block's stable content into `out`. Unwritten blocks are zero.
+  void Read(uint32_t blkno, BlockData* out) const { *out = View(blkno); }
 
   // Atomically replaces a block's stable content (per the paper's
   // footnote 1, each critical structure fits in an atomic write unit).
@@ -81,11 +85,10 @@ class DiskImage {
   // Snapshot for crash analysis: a deep copy of stable storage.
   DiskImage Snapshot() const { return *this; }
 
-  // Rebases a contiguous region [base, base+count) into a standalone
-  // image whose block 0 is `base`. Used by sharded machines: each shard
-  // is a complete filesystem inside its region of the volume, so fsck
-  // and journal replay run on the extracted region exactly as they
-  // would on a single-disk image.
+  // Copies a contiguous region [base, base+count) into a standalone
+  // image whose block 0 is `base`. Recovery itself works in place (fsck
+  // and journal replay take the region's base); tests use the copy as
+  // the reference that in-place recovery must match.
   DiskImage ExtractRegion(uint32_t base, uint32_t count) const {
     DiskImage out(count);
     for (const auto& [blkno, data] : blocks_) {

@@ -16,9 +16,10 @@ Task<void> WorkloadRoot(Machine* m, Proc* proc, const CrashHarness::Workload* wo
 }
 
 // Shared crash tail: snapshot stable storage, run the scheme's recovery
-// (journal replay for kJournaling), and audit with fsck. A sharded
-// machine recovers and checks each shard's file system independently in
-// its own region of the volume image; the reports are merged.
+// (journal replay for kJournaling), and audit with fsck. Each shard's
+// file system is replayed and checked in place in its own region of the
+// snapshot, in shard order; a single-disk machine is one shard covering
+// the whole image.
 CrashResult CrashAndCheck(Machine* m, const RunState& state, Scheme scheme,
                           FsckOptions fsck_options) {
   CrashResult result;
@@ -27,36 +28,16 @@ CrashResult CrashAndCheck(Machine* m, const RunState& state, Scheme scheme,
   result.crash_time = m->engine().Now();
   result.torn_writes = m->image().TornWriteCount();
   DiskImage snapshot = m->CrashNow();
-  // Only the >1-thread path touches stats: the serial path must leave
-  // golden stats dumps byte-identical.
-  PfsckStats* stats = fsck_options.threads > 1 ? &result.fsck_stats : nullptr;
-  if (m->NumShards() <= 1) {
-    if (scheme == Scheme::kJournaling) {
-      result.replay = JournalRecovery(&snapshot).Run();
+  if (scheme == Scheme::kJournaling) {
+    for (size_t s = 0; s < m->NumShards(); ++s) {
+      result.replay.Add(JournalRecovery(&snapshot, m->ShardBase(s)).Run());
     }
-    result.report = PfsckCheck(&snapshot, fsck_options, stats);
-  } else {
-    // Journal replay stays serial, in shard order: it mutates the shared
-    // volume snapshot, and its report fields accumulate in shard order.
-    if (scheme == Scheme::kJournaling) {
-      for (size_t s = 0; s < m->NumShards(); ++s) {
-        JournalReplayReport r = JournalRecovery(&snapshot, m->ShardBase(s)).Run();
-        result.replay.journal_present = result.replay.journal_present || r.journal_present;
-        result.replay.txns_replayed += r.txns_replayed;
-        result.replay.blocks_replayed += r.blocks_replayed;
-        result.replay.log_blocks_scanned += r.log_blocks_scanned;
-        result.replay.torn_tail = result.replay.torn_tail || r.torn_tail;
-      }
-    }
-    ShardLayout layout;
-    layout.num_shards = static_cast<uint32_t>(m->NumShards());
-    layout.shard_blocks = m->ShardBlocks();
-    layout.ino_stride = m->InoStride();
-    result.report = PfsckCheckSharded(snapshot, layout, fsck_options, stats);
   }
-  if (stats != nullptr) {
-    RegisterPfsckStats(&m->stats(), *stats);
-  }
+  ShardLayout layout;
+  layout.num_shards = static_cast<uint32_t>(m->NumShards());
+  layout.shard_blocks = m->ShardBlocks();
+  layout.ino_stride = m->InoStride();
+  result.report = PfsckCheckSharded(snapshot, layout, fsck_options);
   return result;
 }
 

@@ -28,9 +28,6 @@ struct CrashResult {
   // reports what the replay did. Zeros for every other scheme.
   JournalReplayReport replay;
   FsckReport report;
-  // Phase accounting when fsck_options.threads > 1 routed the check
-  // through the parallel checker; all-zero on the serial path.
-  PfsckStats fsck_stats;
 };
 
 class CrashHarness {

@@ -1,8 +1,11 @@
 #include "src/fsck/fsck.h"
 
+#include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <unordered_set>
 
 namespace mufs {
@@ -35,11 +38,92 @@ void TagDataBlock(uint8_t* block_start, uint32_t ino, uint32_t generation) {
   memcpy(block_start, &tag, sizeof(tag));
 }
 
-DiskInode FsckChecker::ReadInode(uint32_t ino) const {
-  BlockData blk;
-  image_->Read(sb_.ItableBlock(ino), &blk);
+namespace {
+
+// Adds the host time since the previous lap to one PfsckStats field; a
+// no-op without stats.
+class PassClock {
+ public:
+  explicit PassClock(PfsckStats* stats) : stats_(stats) {
+    if (stats_ != nullptr) {
+      last_ = std::chrono::steady_clock::now();
+    }
+  }
+
+  void Lap(uint64_t PfsckStats::*field) {
+    if (stats_ == nullptr) {
+      return;
+    }
+    auto now = std::chrono::steady_clock::now();
+    stats_->*field += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_).count());
+    last_ = now;
+  }
+
+ private:
+  PfsckStats* stats_;
+  std::chrono::steady_clock::time_point last_;
+};
+
+// An entry of a block that was pointed to before it was initialized
+// shows up as unparseable: out-of-range inode, bad name, or reserved bits.
+bool GarbageEntry(const DirEntry& de, const SuperBlock& sb) {
+  bool name_ok = de.name[0] != '\0';
+  for (size_t i = 0; name_ok && i < kMaxNameLen && de.name[i] != '\0'; ++i) {
+    if (!isprint(static_cast<unsigned char>(de.name[i]))) {
+      name_ok = false;
+    }
+  }
+  return de.ino >= sb.total_inodes || !name_ok || de.reserved != 0;
+}
+
+// The data-area blocks of a directory: its direct pointers and the
+// pointers in its single indirect block, in that order.
+std::vector<uint32_t> DirBlocks(const ImageRegion& region, const SuperBlock& sb,
+                                const DiskInode& di) {
+  std::vector<uint32_t> blocks;
+  auto add = [&](uint32_t blkno) {
+    if (blkno != 0 && sb.IsDataBlock(blkno)) {
+      blocks.push_back(blkno);
+    }
+  };
+  for (uint32_t i = 0; i < kNumDirect; ++i) {
+    add(di.direct[i]);
+  }
+  if (di.indirect != 0) {
+    const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(region.View(di.indirect).data());
+    for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
+      add(ptrs[i]);
+    }
+  }
+  return blocks;
+}
+
+// The tag of a data block that exposes someone else's data to `tag_ino`
+// at `generation`; nullopt when the block was never written, starts
+// with a zero header (initialized but unwritten), or is tagged right.
+std::optional<DataBlockTag> ForeignTag(const ImageRegion& region, uint32_t blkno,
+                                       uint32_t tag_ino, uint32_t generation) {
+  if (!region.EverWritten(blkno)) {
+    return std::nullopt;  // Reads as zeroes: no exposure.
+  }
+  const BlockData& blk = region.View(blkno);
+  DataBlockTag tag;
+  memcpy(&tag, blk.data(), sizeof(tag));
+  if (std::all_of(blk.begin(), blk.begin() + sizeof(tag), [](uint8_t b) { return b == 0; })) {
+    return std::nullopt;
+  }
+  if (tag.magic == kDataTagMagic && tag.ino == tag_ino && tag.generation == generation) {
+    return std::nullopt;
+  }
+  return tag;
+}
+
+}  // namespace
+
+DiskInode ImageRegion::ReadInode(const SuperBlock& sb, uint32_t ino) const {
   DiskInode di;
-  memcpy(&di, blk.data() + sb_.ItableOffset(ino), sizeof(di));
+  memcpy(&di, View(sb.ItableBlock(ino)).data() + sb.ItableOffset(ino), sizeof(di));
   return di;
 }
 
@@ -80,9 +164,7 @@ std::vector<uint32_t> FsckChecker::CollectBlocks(uint32_t ino, const DiskInode& 
     if (!ClaimBlock(ino, iblk, report)) {
       return;
     }
-    BlockData blk;
-    image_->Read(iblk, &blk);
-    const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(blk.data());
+    const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(region_.View(iblk).data());
     for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
       leaf_fn(ptrs[i]);
     }
@@ -103,30 +185,14 @@ void FsckChecker::CheckInode(uint32_t ino, const DiskInode& di, FsckReport* repo
   std::vector<uint32_t> blocks = CollectBlocks(ino, di, report);
   if (options_.check_stale_data && !di.IsDir()) {
     for (uint32_t blkno : blocks) {
-      if (!image_->EverWritten(blkno)) {
-        continue;  // Reads as zeroes: no exposure.
-      }
-      BlockData blk;
-      image_->Read(blkno, &blk);
-      DataBlockTag tag;
-      memcpy(&tag, blk.data(), sizeof(tag));
-      bool all_zero = true;
-      for (size_t i = 0; i < sizeof(tag); ++i) {
-        if (blk[i] != 0) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero) {
-        continue;  // Initialized but unwritten.
-      }
-      if (tag.magic != kDataTagMagic || tag.ino != options_.tag_ino_base + ino ||
-          tag.generation != di.generation) {
+      std::optional<DataBlockTag> tag =
+          ForeignTag(region_, blkno, options_.tag_ino_base + ino, di.generation);
+      if (tag.has_value()) {
         report->violations.push_back(
             {FsckViolationType::kStaleDataExposed,
              "ino " + std::to_string(ino) + " gen " + std::to_string(di.generation) +
                  " block " + std::to_string(blkno) + " holds foreign data (tag ino " +
-                 std::to_string(tag.ino) + " gen " + std::to_string(tag.generation) + ")"});
+                 std::to_string(tag->ino) + " gen " + std::to_string(tag->generation) + ")"});
       }
     }
   }
@@ -134,23 +200,14 @@ void FsckChecker::CheckInode(uint32_t ino, const DiskInode& di, FsckReport* repo
 
 void FsckChecker::CheckDirBlock(uint32_t dir_ino, uint32_t blkno, FsckReport* report,
                                 std::vector<uint32_t>* children) {
-  BlockData blk;
-  image_->Read(blkno, &blk);
+  const BlockData& blk = region_.View(blkno);
   for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
     DirEntry de;
     memcpy(&de, blk.data() + e * kDirEntrySize, sizeof(de));
     if (de.ino == 0) {
       continue;
     }
-    // Structural sanity: an uninitialized (stale-data) block shows up as
-    // unparseable entries.
-    bool name_ok = de.name[0] != '\0';
-    for (size_t i = 0; name_ok && i < kMaxNameLen && de.name[i] != '\0'; ++i) {
-      if (!isprint(static_cast<unsigned char>(de.name[i]))) {
-        name_ok = false;
-      }
-    }
-    if (de.ino >= sb_.total_inodes || !name_ok || de.reserved != 0) {
+    if (GarbageEntry(de, sb_)) {
       report->violations.push_back({FsckViolationType::kGarbageDirectory,
                                     "dir ino " + std::to_string(dir_ino) + " block " +
                                         std::to_string(blkno) + " entry " + std::to_string(e)});
@@ -183,29 +240,11 @@ void FsckChecker::WalkDirectories(FsckReport* report) {
     if (!di.IsDir()) {
       continue;
     }
-    // Gather the directory's blocks (already claimed in the inode pass;
-    // re-walk pointers here without claiming).
-    std::vector<uint32_t> blocks;
-    for (uint32_t i = 0; i < kNumDirect; ++i) {
-      if (di.direct[i] != 0) {
-        blocks.push_back(di.direct[i]);
-      }
-    }
-    if (di.indirect != 0) {
-      BlockData blk;
-      image_->Read(di.indirect, &blk);
-      const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(blk.data());
-      for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-        if (ptrs[i] != 0) {
-          blocks.push_back(ptrs[i]);
-        }
-      }
-    }
+    // The directory's blocks were claimed in the inode pass; re-walk the
+    // pointers here without claiming.
     std::vector<uint32_t> children;
-    for (uint32_t blkno : blocks) {
-      if (blkno >= sb_.data_start && blkno < sb_.total_blocks) {
-        CheckDirBlock(dir_ino, blkno, report, &children);
-      }
+    for (uint32_t blkno : DirBlocks(region_, sb_, di)) {
+      CheckDirBlock(dir_ino, blkno, report, &children);
     }
     child_dir_counts_[dir_ino] = static_cast<uint32_t>(children.size());
     for (uint32_t child : children) {
@@ -217,18 +256,17 @@ void FsckChecker::WalkDirectories(FsckReport* report) {
   }
 }
 
-FsckReport FsckChecker::Check() {
+FsckReport FsckChecker::Check(PfsckStats* stats) {
   FsckReport report;
   block_owner_.clear();
   ref_counts_.clear();
 
-  BlockData blk;
-  image_->Read(0, &blk);
-  memcpy(&sb_, blk.data(), sizeof(sb_));
+  memcpy(&sb_, region_.View(0).data(), sizeof(sb_));
   if (sb_.magic != kFsMagic || sb_.total_blocks == 0 || sb_.total_inodes == 0) {
     report.violations.push_back({FsckViolationType::kBadSuperblock, "magic/geometry"});
     return report;
   }
+  PassClock clock(stats);
 
   // Pass 1: inodes and block claims.
   for (uint32_t ino = kRootIno; ino < sb_.total_inodes; ++ino) {
@@ -237,9 +275,11 @@ FsckReport FsckChecker::Check() {
       CheckInode(ino, di, &report);
     }
   }
+  clock.Lap(&PfsckStats::inode_scan_ns);
 
   // Pass 2: directory tree, reference counts.
   WalkDirectories(&report);
+  clock.Lap(&PfsckStats::dir_walk_ns);
 
   // Pass 3: link-count audit.
   for (uint32_t ino = kRootIno + 1; ino < sb_.total_inodes; ++ino) {
@@ -283,8 +323,7 @@ FsckReport FsckChecker::Check() {
 
   // Pass 4: bitmap audit (always fixable: fsck rebuilds bitmaps).
   for (uint32_t ino = kRootIno; ino < sb_.total_inodes; ++ino) {
-    BlockData bm;
-    image_->Read(sb_.inode_bitmap_start + ino / kBitsPerBlock, &bm);
+    const BlockData& bm = region_.View(sb_.inode_bitmap_start + ino / kBitsPerBlock);
     bool marked = BitmapGet(bm.data(), ino % kBitsPerBlock);
     bool in_use = ReadInode(ino).InUse();
     if (in_use && !marked) {
@@ -292,13 +331,13 @@ FsckReport FsckChecker::Check() {
     }
   }
   for (const auto& [blkno, owner] : block_owner_) {
-    BlockData bm;
-    image_->Read(sb_.block_bitmap_start + blkno / kBitsPerBlock, &bm);
+    const BlockData& bm = region_.View(sb_.block_bitmap_start + blkno / kBitsPerBlock);
     if (!BitmapGet(bm.data(), blkno % kBitsPerBlock)) {
       report.fixables.push_back(
           {"block " + std::to_string(blkno) + " in use but free in bitmap"});
     }
   }
+  clock.Lap(&PfsckStats::audit_ns);
   return report;
 }
 
@@ -306,30 +345,19 @@ FsckReport FsckChecker::Check() {
 // Repair
 // ---------------------------------------------------------------------
 
-DiskInode FsckRepairer::ReadInode(uint32_t ino) const {
-  BlockData blk;
-  image_->Read(sb_.ItableBlock(ino), &blk);
-  DiskInode di;
-  memcpy(&di, blk.data() + sb_.ItableOffset(ino), sizeof(di));
-  return di;
-}
-
 void FsckRepairer::WriteInode(uint32_t ino, const DiskInode& di) {
-  BlockData blk;
-  image_->Read(sb_.ItableBlock(ino), &blk);
+  BlockData blk = region_.View(sb_.ItableBlock(ino));
   memcpy(blk.data() + sb_.ItableOffset(ino), &di, sizeof(di));
   WriteBlock(sb_.ItableBlock(ino), blk);
 }
 
 void FsckRepairer::WriteBlock(uint32_t blkno, const BlockData& data) {
   // Repair happens "offline": keep the image's stable-storage timestamp.
-  image_->Write(blkno, data, image_->LastWriteTime());
+  image_->Write(region_.base() + blkno, data, image_->LastWriteTime());
 }
 
 bool FsckRepairer::LoadSuper() {
-  BlockData blk;
-  image_->Read(0, &blk);
-  memcpy(&sb_, blk.data(), sizeof(sb_));
+  memcpy(&sb_, region_.View(0).data(), sizeof(sb_));
   return sb_.magic == kFsMagic && sb_.total_blocks != 0 && sb_.total_inodes != 0;
 }
 
@@ -374,8 +402,7 @@ void FsckRepairer::ScrubInodePointers(FsckRepairReport* report) {
         ++report->pointers_cleared;
         return;
       }
-      BlockData blk;
-      image_->Read(*iblk, &blk);
+      BlockData blk = region_.View(*iblk);
       uint32_t* ptrs = reinterpret_cast<uint32_t*>(blk.data());
       bool blk_dirty = false;
       for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
@@ -403,27 +430,8 @@ void FsckRepairer::ScrubInodePointers(FsckRepairReport* report) {
     }
     if (options_.check_stale_data && !di.IsDir()) {
       for (uint32_t blkno : data_blocks) {
-        if (!image_->EverWritten(blkno)) {
-          continue;
-        }
-        BlockData blk;
-        image_->Read(blkno, &blk);
-        DataBlockTag tag;
-        memcpy(&tag, blk.data(), sizeof(tag));
-        bool all_zero = true;
-        for (size_t i = 0; i < sizeof(tag); ++i) {
-          if (blk[i] != 0) {
-            all_zero = false;
-            break;
-          }
-        }
-        if (all_zero) {
-          continue;
-        }
-        if (tag.magic != kDataTagMagic || tag.ino != options_.tag_ino_base + ino ||
-            tag.generation != di.generation) {
-          blk.fill(0);
-          WriteBlock(blkno, blk);
+        if (ForeignTag(region_, blkno, options_.tag_ino_base + ino, di.generation)) {
+          WriteBlock(blkno, kZeroBlock);
           ++report->data_blocks_scrubbed;
         }
       }
@@ -443,47 +451,22 @@ void FsckRepairer::ScrubDirectories(FsckRepairReport* report) {
     if (!di.IsDir()) {
       continue;
     }
-    std::vector<uint32_t> blocks;
-    for (uint32_t i = 0; i < kNumDirect; ++i) {
-      if (di.direct[i] != 0) {
-        blocks.push_back(di.direct[i]);
-      }
-    }
-    if (di.indirect != 0) {
-      BlockData blk;
-      image_->Read(di.indirect, &blk);
-      const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(blk.data());
-      for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-        if (ptrs[i] != 0) {
-          blocks.push_back(ptrs[i]);
-        }
-      }
-    }
     std::vector<uint32_t> children;
-    for (uint32_t blkno : blocks) {
-      if (!sb_.IsDataBlock(blkno)) {
-        continue;  // Already zeroed by the pointer scrub.
-      }
-      BlockData blk;
-      image_->Read(blkno, &blk);
-      bool blk_dirty = false;
+    // Out-of-range pointers were already zeroed by the pointer scrub.
+    for (uint32_t blkno : DirBlocks(region_, sb_, di)) {
+      const BlockData& blk = region_.View(blkno);
+      std::optional<BlockData> cleared;  // Copied on the first cleared entry.
       for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
         DirEntry de;
         memcpy(&de, blk.data() + e * kDirEntrySize, sizeof(de));
         if (de.ino == 0) {
           continue;
         }
-        bool name_ok = de.name[0] != '\0';
-        for (size_t i = 0; name_ok && i < kMaxNameLen && de.name[i] != '\0'; ++i) {
-          if (!isprint(static_cast<unsigned char>(de.name[i]))) {
-            name_ok = false;
+        if (GarbageEntry(de, sb_) || !ReadInode(de.ino).InUse()) {
+          if (!cleared.has_value()) {
+            cleared = blk;
           }
-        }
-        bool garbage = de.ino >= sb_.total_inodes || !name_ok || de.reserved != 0;
-        bool dangling = !garbage && !ReadInode(de.ino).InUse();
-        if (garbage || dangling) {
-          memset(blk.data() + e * kDirEntrySize, 0, kDirEntrySize);
-          blk_dirty = true;
+          memset(cleared->data() + e * kDirEntrySize, 0, kDirEntrySize);
           ++report->dir_entries_cleared;
           continue;
         }
@@ -492,8 +475,8 @@ void FsckRepairer::ScrubDirectories(FsckRepairReport* report) {
           children.push_back(de.ino);
         }
       }
-      if (blk_dirty) {
-        WriteBlock(blkno, blk);
+      if (cleared.has_value()) {
+        WriteBlock(blkno, *cleared);
       }
     }
     child_dir_counts_[dir_ino] = static_cast<uint32_t>(children.size());
@@ -552,9 +535,7 @@ void FsckRepairer::RebuildBitmaps(FsckRepairReport* report) {
       return;
     }
     claimed.insert(iblk);
-    BlockData blk;
-    image_->Read(iblk, &blk);
-    const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(blk.data());
+    const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(region_.View(iblk).data());
     for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
       leaf_fn(ptrs[i]);
     }
@@ -579,20 +560,21 @@ void FsckRepairer::RebuildBitmaps(FsckRepairReport* report) {
   auto rewrite = [&](uint32_t bitmap_start, uint32_t bitmap_blocks, uint32_t total,
                      auto&& desired_fn) {
     for (uint32_t b = 0; b < bitmap_blocks; ++b) {
-      BlockData bm;
-      image_->Read(bitmap_start + b, &bm);
-      bool dirty = false;
+      const BlockData& bm = region_.View(bitmap_start + b);
+      std::optional<BlockData> fixed;  // Copied on the first wrong bit.
       uint32_t base = b * kBitsPerBlock;
       for (uint32_t i = 0; i < kBitsPerBlock && base + i < total; ++i) {
         bool want = desired_fn(base + i);
         if (BitmapGet(bm.data(), i) != want) {
-          BitmapSet(bm.data(), i, want);
-          dirty = true;
+          if (!fixed.has_value()) {
+            fixed = bm;
+          }
+          BitmapSet(fixed->data(), i, want);
           ++report->bitmap_bits_fixed;
         }
       }
-      if (dirty) {
-        WriteBlock(bitmap_start + b, bm);
+      if (fixed.has_value()) {
+        WriteBlock(bitmap_start + b, *fixed);
       }
     }
   };
@@ -612,7 +594,7 @@ void FsckRepairer::RepairPass(FsckRepairReport* report) {
   RebuildBitmaps(report);
 }
 
-FsckRepairReport FsckRepairer::Repair() {
+FsckRepairReport FsckRepairer::Repair(PfsckStats* stats) {
   FsckRepairReport report;
   if (!LoadSuper()) {
     return report;  // A bad superblock is beyond repair here.
@@ -620,7 +602,8 @@ FsckRepairReport FsckRepairer::Repair() {
   for (int pass = 0; pass < kMaxFsckRepairPasses; ++pass) {
     ++report.passes;
     RepairPass(&report);
-    FsckReport check = FsckChecker(image_, options_).Check();
+    FsckReport check =
+        FsckChecker(image_, options_, region_.base(), region_.count()).Check(stats);
     if (check.violations.empty() && check.fixables.empty()) {
       report.clean_after = true;
       break;

@@ -16,6 +16,11 @@
 //   - stale data visible through a new pointer (the allocation-
 //     initialization security check; needs cooperating workloads that
 //     tag their data blocks via TagDataBlock).
+//
+// Both the checker and the repairer run serially over zero-copy block
+// views, in place on a region of the image: a sharded volume is audited
+// shard by shard with no copy (ImageRegion; src/fsck/pfsck.h loops over
+// the shards). The repairer copies only the blocks it rewrites.
 #ifndef MUFS_SRC_FSCK_FSCK_H_
 #define MUFS_SRC_FSCK_FSCK_H_
 
@@ -80,23 +85,61 @@ struct FsckOptions {
   bool check_stale_data = false;
   // Added to local inode numbers before comparing against data-block
   // tags. Sharded machines tag data with GLOBAL inode numbers
-  // (shard * stride + local); checking one extracted shard region means
+  // (shard * stride + local); checking one shard region means
   // tag.ino == tag_ino_base + local ino. 0 for unsharded images.
   uint32_t tag_ino_base = 0;
-  // Worker threads for the parallel checker/repairer (src/fsck/pfsck.h).
-  // 0 (and 1) take the serial path - byte-identical reports guaranteed;
-  // >= 2 spawns that many std::thread workers outside the sim clock.
-  // FsckChecker/FsckRepairer themselves ignore this; PfsckCheck /
-  // PfsckRepair and the crash harness honor it.
+  // Ignored: checking and repair are serial. Kept only because the
+  // repository benchmark still sets it.
   uint32_t threads = 0;
+};
+
+// Host wall-clock time per checker pass, accumulated over every Check()
+// it is passed to (repair re-checks included). Outside the sim clock:
+// never part of a stats dump.
+struct PfsckStats {
+  uint64_t inode_scan_ns = 0;  // Pass 1: inode scan and block claims.
+  uint64_t dir_walk_ns = 0;    // Pass 2: directory walk.
+  uint64_t merge_ns = 0;       // Always 0: nothing is merged.
+  uint64_t audit_ns = 0;       // Passes 3-4: link-count and bitmap audit.
+};
+
+// Blocks [base, base + count) of a DiskImage, addressed as a standalone
+// image whose block 0 is `base` - how a sharded volume's shard, a
+// complete file system in its own region, is audited in place. Reads
+// are zero-copy views. A block number at or past `count` reads as
+// zeroes, as it would on an extracted copy: never as the next region's
+// block. count 0 = to the end of the image.
+class ImageRegion {
+ public:
+  ImageRegion(const DiskImage* image, uint32_t base, uint32_t count)
+      : image_(image), base_(base), count_(count != 0 ? count : image->TotalBlocks() - base) {}
+
+  uint32_t base() const { return base_; }
+  uint32_t count() const { return count_; }
+  const BlockData& View(uint32_t blkno) const {
+    return blkno < count_ ? image_->View(base_ + blkno) : kZeroBlock;
+  }
+  bool EverWritten(uint32_t blkno) const {
+    return blkno < count_ && image_->EverWritten(base_ + blkno);
+  }
+  DiskInode ReadInode(const SuperBlock& sb, uint32_t ino) const;
+
+ private:
+  const DiskImage* image_;
+  uint32_t base_;
+  uint32_t count_;
 };
 
 class FsckChecker {
  public:
-  explicit FsckChecker(const DiskImage* image, FsckOptions options = {})
-      : image_(image), options_(options) {}
+  // Audits the region [base, base + count) of `image` in place (see
+  // ImageRegion); the defaults audit the whole image.
+  explicit FsckChecker(const DiskImage* image, FsckOptions options = {}, uint32_t base = 0,
+                       uint32_t count = 0)
+      : region_(image, base, count), options_(options) {}
 
-  FsckReport Check();
+  // `stats`, when set, accumulates the host time of each pass.
+  FsckReport Check(PfsckStats* stats = nullptr);
 
  private:
   void CheckInode(uint32_t ino, const DiskInode& di, FsckReport* report);
@@ -107,9 +150,9 @@ class FsckChecker {
   // recording violations for bad pointers and duplicate claims.
   std::vector<uint32_t> CollectBlocks(uint32_t ino, const DiskInode& di, FsckReport* report);
   bool ClaimBlock(uint32_t ino, uint32_t blkno, FsckReport* report);
-  DiskInode ReadInode(uint32_t ino) const;
+  DiskInode ReadInode(uint32_t ino) const { return region_.ReadInode(sb_, ino); }
 
-  const DiskImage* image_;
+  ImageRegion region_;
   FsckOptions options_;
   SuperBlock sb_;
   std::unordered_map<uint32_t, uint32_t> block_owner_;  // blkno -> ino.
@@ -149,28 +192,26 @@ inline constexpr int kMaxFsckRepairPasses = 16;
 // cleared entry orphans an inode, whose children then orphan in turn).
 class FsckRepairer {
  public:
-  explicit FsckRepairer(DiskImage* image, FsckOptions options = {})
-      : image_(image), options_(options) {}
+  // Repairs the region [base, base + count) of `image` in place, as
+  // FsckChecker audits it; the defaults repair the whole image.
+  explicit FsckRepairer(DiskImage* image, FsckOptions options = {}, uint32_t base = 0,
+                        uint32_t count = 0)
+      : image_(image), region_(image, base, count), options_(options) {}
 
-  FsckRepairReport Repair();
-
-  // The two building blocks of Repair(), exposed so the parallel
-  // repairer (pfsck) can drive the identical serial mutation sequence
-  // with its own convergence re-check. LoadSuper must succeed before
-  // RunPass is called.
-  bool LoadSuper();
-  void RunPass(FsckRepairReport* report) { RepairPass(report); }
+  // `stats`, when set, accumulates the pass times of the convergence
+  // re-checks.
+  FsckRepairReport Repair(PfsckStats* stats = nullptr);
 
  private:
+  bool LoadSuper();
   void RepairPass(FsckRepairReport* report);
   // Zeroes out-of-range and duplicate block pointers; scrubs foreign data
   // (when options_.check_stale_data). Fills block_owner_. Duplicate-block
   // resolution is DETERMINISTIC: the table is scanned in ascending inode
   // order and within an inode in pointer order, so the winner of a
   // duplicate claim is always the lowest (ino, pointer-position)
-  // claimant - never an artifact of map iteration order. The parallel
-  // repairer preserves this by replaying claims in the same serial
-  // order; fsck_test pins it.
+  // claimant - never an artifact of map iteration order; fsck_test pins
+  // it.
   void ScrubInodePointers(FsckRepairReport* report);
   // Walks the tree from the root, zeroing garbage / dangling entries.
   // Fills ref_counts_ and child_dir_counts_.
@@ -179,11 +220,12 @@ class FsckRepairer {
   void FixLinkCountsAndOrphans(FsckRepairReport* report);
   // Rebuilds both bitmaps from the surviving inode table.
   void RebuildBitmaps(FsckRepairReport* report);
-  DiskInode ReadInode(uint32_t ino) const;
+  DiskInode ReadInode(uint32_t ino) const { return region_.ReadInode(sb_, ino); }
   void WriteInode(uint32_t ino, const DiskInode& di);
   void WriteBlock(uint32_t blkno, const BlockData& data);
 
   DiskImage* image_;
+  ImageRegion region_;
   FsckOptions options_;
   SuperBlock sb_;
   std::unordered_map<uint32_t, uint32_t> block_owner_;       // blkno -> ino.

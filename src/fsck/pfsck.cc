@@ -1,730 +1,47 @@
 #include "src/fsck/pfsck.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <chrono>
-#include <cstring>
-#include <deque>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 namespace mufs {
+
 namespace {
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
+// Shard data blocks are tagged with GLOBAL inode numbers.
+FsckOptions ShardOptions(const FsckOptions& base, const ShardLayout& layout, uint32_t s) {
+  FsckOptions opts = base;
+  opts.tag_ino_base = s * layout.ino_stride;
+  return opts;
 }
 
-DiskInode ReadInodeAt(const DiskImage* image, const SuperBlock& sb, uint32_t ino) {
-  BlockData blk;
-  image->Read(sb.ItableBlock(ino), &blk);
-  DiskInode di;
-  memcpy(&di, blk.data() + sb.ItableOffset(ino), sizeof(di));
-  return di;
-}
-
-// Mirrors the serial checker's directory-entry sanity test exactly.
-bool DirNameOk(const DirEntry& de) {
-  bool name_ok = de.name[0] != '\0';
-  for (size_t i = 0; name_ok && i < kMaxNameLen && de.name[i] != '\0'; ++i) {
-    if (!isprint(static_cast<unsigned char>(de.name[i]))) {
-      name_ok = false;
-    }
-  }
-  return name_ok;
-}
-
-// ---------------------------------------------------------------------
-// Phase 1: optimistic claim collection
-// ---------------------------------------------------------------------
-
-// One ClaimBlock call the serial checker would make, in its exact order.
-// `subtree` is the number of following attempts inside this attempt's
-// indirect subtree: when the claim fails at merge time, the replay skips
-// them, exactly as the serial walk never descends an unclaimed indirect
-// block. Out-of-range attempts are emitted with an empty subtree (the
-// serial walk never reads them either).
-struct ClaimAttempt {
-  uint32_t blkno = 0;
-  uint32_t subtree = 0;
-  bool leaf = false;  // Data block: stale-check candidate if claimed.
-  bool bad = false;   // Outside the data area: kBadBlockPointer.
-};
-
-struct InodeScan {
-  uint32_t ino = 0;
-  uint32_t generation = 0;
-  bool is_dir = false;
-  std::vector<ClaimAttempt> attempts;
-};
-
-void EmitLeaf(const SuperBlock& sb, uint32_t blkno, InodeScan* out) {
-  if (blkno == 0) {
-    return;
-  }
-  ClaimAttempt a;
-  a.blkno = blkno;
-  a.leaf = true;
-  a.bad = blkno < sb.data_start || blkno >= sb.total_blocks;
-  out->attempts.push_back(a);
-}
-
-void EmitIndirect(const DiskImage* image, const SuperBlock& sb, uint32_t iblk, int depth,
-                  InodeScan* out) {
-  if (iblk == 0) {
-    return;
-  }
-  ClaimAttempt a;
-  a.blkno = iblk;
-  a.bad = iblk < sb.data_start || iblk >= sb.total_blocks;
-  size_t slot = out->attempts.size();
-  out->attempts.push_back(a);
-  if (a.bad) {
-    return;
-  }
-  BlockData blk;
-  image->Read(iblk, &blk);
-  const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(blk.data());
-  for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-    if (depth == 1) {
-      EmitLeaf(sb, ptrs[i], out);
-    } else if (ptrs[i] != 0) {
-      EmitIndirect(image, sb, ptrs[i], depth - 1, out);
-    }
-  }
-  out->attempts[slot].subtree = static_cast<uint32_t>(out->attempts.size() - slot - 1);
-}
-
-void ScanInode(const DiskImage* image, const SuperBlock& sb, uint32_t ino,
-               const DiskInode& di, std::vector<InodeScan>* out) {
-  InodeScan scan;
-  scan.ino = ino;
-  scan.generation = di.generation;
-  scan.is_dir = di.IsDir();
-  for (uint32_t i = 0; i < kNumDirect; ++i) {
-    EmitLeaf(sb, di.direct[i], &scan);
-  }
-  EmitIndirect(image, sb, di.indirect, /*depth=*/1, &scan);
-  EmitIndirect(image, sb, di.double_indirect, /*depth=*/2, &scan);
-  out->push_back(std::move(scan));
-}
-
-// ---------------------------------------------------------------------
-// Phase 2: work-stealing directory walk
-// ---------------------------------------------------------------------
-
-// Everything the serial per-directory processing produces, computed
-// independently of walk order (the image is immutable during a check).
-struct DirScan {
-  bool is_dir = false;
-  std::vector<FsckViolation> violations;  // Garbage/dangling, entry order.
-  std::vector<uint32_t> children;         // Subdirectory inos, entry order.
-};
-
-struct DirWalk {
-  const DiskImage* image = nullptr;
-  SuperBlock sb;
-  std::vector<std::atomic<uint8_t>> visited;
-  std::vector<DirScan> results;
-  std::vector<std::deque<uint32_t>> queues;
-  std::vector<std::mutex> queue_mu;
-  std::atomic<int64_t> pending{0};
-  std::atomic<uint64_t> steals{0};
-
-  DirWalk(const DiskImage* img, const SuperBlock& super, uint32_t workers)
-      : image(img),
-        sb(super),
-        visited(super.total_inodes),
-        results(super.total_inodes),
-        queues(workers),
-        queue_mu(workers) {}
-
-  void Seed() {
-    visited[kRootIno].store(1, std::memory_order_relaxed);
-    queues[0].push_back(kRootIno);
-    pending.store(1);
-  }
-
-  std::optional<uint32_t> TakeJob(uint32_t worker, uint64_t* local_steals) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu[worker]);
-      if (!queues[worker].empty()) {
-        uint32_t job = queues[worker].front();
-        queues[worker].pop_front();
-        return job;
-      }
-    }
-    for (size_t i = 1; i < queues.size(); ++i) {
-      size_t victim = (worker + i) % queues.size();
-      std::lock_guard<std::mutex> lock(queue_mu[victim]);
-      if (!queues[victim].empty()) {
-        uint32_t job = queues[victim].back();
-        queues[victim].pop_back();
-        ++*local_steals;
-        ++steals;
-        return job;
-      }
-    }
-    return std::nullopt;
-  }
-
-  // Parses one directory exactly as FsckChecker::WalkDirectories +
-  // CheckDirBlock do, into results[dir_ino]; newly discovered
-  // subdirectories go onto this worker's deque.
-  void Process(uint32_t worker, uint32_t dir_ino,
-               std::unordered_map<uint32_t, uint32_t>* ref_counts) {
-    DirScan& out = results[dir_ino];
-    DiskInode di = ReadInodeAt(image, sb, dir_ino);
-    out.is_dir = di.IsDir();
-    if (out.is_dir) {
-      std::vector<uint32_t> blocks;
-      for (uint32_t i = 0; i < kNumDirect; ++i) {
-        if (di.direct[i] != 0) {
-          blocks.push_back(di.direct[i]);
-        }
-      }
-      if (di.indirect != 0) {
-        BlockData blk;
-        image->Read(di.indirect, &blk);
-        const uint32_t* ptrs = reinterpret_cast<const uint32_t*>(blk.data());
-        for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-          if (ptrs[i] != 0) {
-            blocks.push_back(ptrs[i]);
-          }
-        }
-      }
-      for (uint32_t blkno : blocks) {
-        if (blkno < sb.data_start || blkno >= sb.total_blocks) {
-          continue;
-        }
-        BlockData blk;
-        image->Read(blkno, &blk);
-        for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
-          DirEntry de;
-          memcpy(&de, blk.data() + e * kDirEntrySize, sizeof(de));
-          if (de.ino == 0) {
-            continue;
-          }
-          if (de.ino >= sb.total_inodes || !DirNameOk(de) || de.reserved != 0) {
-            out.violations.push_back(
-                {FsckViolationType::kGarbageDirectory,
-                 "dir ino " + std::to_string(dir_ino) + " block " + std::to_string(blkno) +
-                     " entry " + std::to_string(e)});
-            continue;
-          }
-          DiskInode target = ReadInodeAt(image, sb, de.ino);
-          if (!target.InUse()) {
-            out.violations.push_back(
-                {FsckViolationType::kDanglingDirEntry,
-                 "dir ino " + std::to_string(dir_ino) + " entry '" + std::string(de.Name()) +
-                     "' -> free ino " + std::to_string(de.ino)});
-            continue;
-          }
-          ++(*ref_counts)[de.ino];
-          if (target.IsDir()) {
-            out.children.push_back(de.ino);
-          }
-        }
-      }
-      for (uint32_t child : out.children) {
-        if (child >= sb.total_inodes) {
-          continue;
-        }
-        uint8_t expected = 0;
-        if (visited[child].compare_exchange_strong(expected, 1)) {
-          pending.fetch_add(1);
-          std::lock_guard<std::mutex> lock(queue_mu[worker]);
-          queues[worker].push_back(child);
-        }
-      }
-    }
-    pending.fetch_sub(1);
-  }
-};
-
-// ---------------------------------------------------------------------
-// The parallel checker
-// ---------------------------------------------------------------------
-
-struct ScanChunks {
-  uint32_t first_ino = 0;
-  uint32_t total_inodes = 0;
-  uint32_t chunk_inodes = 1;
-  size_t count = 0;
-
-  ScanChunks(uint32_t first, uint32_t total, uint32_t threads) {
-    first_ino = first;
-    total_inodes = total;
-    uint32_t span = total > first ? total - first : 0;
-    size_t want = static_cast<size_t>(threads) * 4;
-    chunk_inodes = span == 0 ? 1 : std::max<uint32_t>(1, (span + want - 1) / want);
-    count = span == 0 ? 0 : (span + chunk_inodes - 1) / chunk_inodes;
-  }
-
-  uint32_t Begin(size_t c) const {
-    return first_ino + static_cast<uint32_t>(c) * chunk_inodes;
-  }
-  uint32_t End(size_t c) const {
-    return std::min(total_inodes, Begin(c) + chunk_inodes);
-  }
-  // Which chunk scanned `ino` - the "partition" for conflict accounting.
-  size_t Of(uint32_t ino) const { return (ino - first_ino) / chunk_inodes; }
-};
-
-// Runs fn(chunk_index) over [0, nchunks) on `threads` workers pulling
-// from a shared atomic index.
-template <typename Fn>
-void ParallelChunks(uint32_t threads, size_t nchunks, Fn&& fn) {
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> pool;
-  uint32_t workers = std::min<uint32_t>(threads, nchunks == 0 ? 1 : nchunks);
-  pool.reserve(workers);
-  for (uint32_t t = 0; t < workers; ++t) {
-    pool.emplace_back([&] {
-      while (true) {
-        size_t c = next.fetch_add(1);
-        if (c >= nchunks) {
-          break;
-        }
-        fn(c);
-      }
-    });
-  }
-  for (auto& th : pool) {
-    th.join();
-  }
-}
-
-FsckReport ParallelCheck(const DiskImage* image, const FsckOptions& options,
-                         PfsckStats* stats) {
-  const uint32_t threads = options.threads;
-  FsckReport report;
-  if (stats != nullptr) {
-    stats->threads = threads;
-  }
-
-  BlockData blk0;
-  image->Read(0, &blk0);
-  SuperBlock sb;
-  memcpy(&sb, blk0.data(), sizeof(sb));
-  if (sb.magic != kFsMagic || sb.total_blocks == 0 || sb.total_inodes == 0) {
-    report.violations.push_back({FsckViolationType::kBadSuperblock, "magic/geometry"});
-    return report;
-  }
-
-  // --- pipelined phases 1+2: inode scan chunks + dir-walk deques ------
-  ScanChunks chunks(kRootIno, sb.total_inodes, threads);
-  std::vector<std::vector<InodeScan>> chunk_scans(chunks.count);
-  std::atomic<size_t> next_chunk{0};
-  DirWalk walk(image, sb, threads);
-  walk.Seed();
-  std::vector<std::unordered_map<uint32_t, uint32_t>> worker_refs(threads);
-  std::atomic<uint64_t> scan_ns{0};
-  std::atomic<uint64_t> walk_ns{0};
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (uint32_t w = 0; w < threads; ++w) {
-    pool.emplace_back([&, w] {
-      uint64_t local_steals = 0;
-      uint64_t my_scan_ns = 0;
-      uint64_t my_walk_ns = 0;
-      while (true) {
-        // Directory frontier first: dir jobs are the scarce, dynamically
-        // discovered resource; scan chunks are the abundant backfill.
-        if (std::optional<uint32_t> job = walk.TakeJob(w, &local_steals)) {
-          uint64_t t0 = NowNs();
-          walk.Process(w, *job, &worker_refs[w]);
-          my_walk_ns += NowNs() - t0;
-          continue;
-        }
-        if (next_chunk.load() < chunks.count) {
-          size_t c = next_chunk.fetch_add(1);
-          if (c < chunks.count) {
-            uint64_t t0 = NowNs();
-            for (uint32_t ino = chunks.Begin(c); ino < chunks.End(c); ++ino) {
-              DiskInode di = ReadInodeAt(image, sb, ino);
-              if (di.InUse()) {
-                ScanInode(image, sb, ino, di, &chunk_scans[c]);
-              }
-            }
-            my_scan_ns += NowNs() - t0;
-            continue;
-          }
-        }
-        if (walk.pending.load() == 0 && next_chunk.load() >= chunks.count) {
-          break;
-        }
-        std::this_thread::yield();
-      }
-      scan_ns.fetch_add(my_scan_ns);
-      walk_ns.fetch_add(my_walk_ns);
-    });
-  }
-  for (auto& th : pool) {
-    th.join();
-  }
-  if (stats != nullptr) {
-    stats->inode_scan_ns += scan_ns.load();
-    stats->dir_walk_ns += walk_ns.load();
-    stats->work_steals += walk.steals.load();
-  }
-
-  // --- serial merge: claim replay in exact (ino, pointer) order -------
-  uint64_t merge_t0 = NowNs();
-  std::unordered_map<uint32_t, uint32_t> block_owner;
-  // Per scanned inode: its claim violations and (for regular files) the
-  // successfully claimed data blocks, both in serial order.
-  struct InodePass1 {
-    const InodeScan* scan = nullptr;
-    std::vector<FsckViolation> claim_violations;
-    std::vector<uint32_t> stale_candidates;
-    std::vector<FsckViolation> stale_violations;
-  };
-  std::vector<InodePass1> pass1;
-  for (const auto& scans : chunk_scans) {
-    pass1.reserve(pass1.size() + scans.size());
-    for (const auto& scan : scans) {
-      pass1.push_back({&scan, {}, {}, {}});
-    }
-  }
-  for (auto& p : pass1) {
-    const InodeScan& scan = *p.scan;
-    ++report.inodes_in_use;
-    if (scan.is_dir) {
-      ++report.dirs_seen;
-    } else {
-      ++report.files_seen;
-    }
-    const auto& attempts = scan.attempts;
-    size_t k = 0;
-    while (k < attempts.size()) {
-      const ClaimAttempt& a = attempts[k];
-      if (a.bad) {
-        p.claim_violations.push_back(
-            {FsckViolationType::kBadBlockPointer,
-             "ino " + std::to_string(scan.ino) + " -> block " + std::to_string(a.blkno)});
-        ++k;
-        continue;
-      }
-      auto [it, inserted] = block_owner.try_emplace(a.blkno, scan.ino);
-      if (!inserted) {
-        p.claim_violations.push_back(
-            {FsckViolationType::kDuplicateBlockClaim,
-             "block " + std::to_string(a.blkno) + " claimed by ino " +
-                 std::to_string(it->second) + " and ino " + std::to_string(scan.ino)});
-        if (stats != nullptr && chunks.Of(it->second) != chunks.Of(scan.ino)) {
-          ++stats->merge_conflicts;
-        }
-        k += 1 + a.subtree;  // Serial never walks under a lost claim.
-        continue;
-      }
-      ++report.blocks_claimed;
-      if (a.leaf && options.check_stale_data && !scan.is_dir) {
-        p.stale_candidates.push_back(a.blkno);
-      }
-      ++k;
-    }
-  }
-
-  // Stitch directory results into the serial BFS order (no I/O: the
-  // recorded children lists fully determine the serial queue).
-  std::vector<FsckViolation> dir_violations;
-  std::unordered_map<uint32_t, uint32_t> child_dir_counts;
-  {
-    std::deque<uint32_t> queue;
-    std::vector<bool> visited(sb.total_inodes, false);
-    queue.push_back(kRootIno);
-    visited[kRootIno] = true;
-    while (!queue.empty()) {
-      uint32_t dir_ino = queue.front();
-      queue.pop_front();
-      const DirScan& r = walk.results[dir_ino];
-      if (!r.is_dir) {
-        continue;
-      }
-      dir_violations.insert(dir_violations.end(), r.violations.begin(), r.violations.end());
-      child_dir_counts[dir_ino] = static_cast<uint32_t>(r.children.size());
-      for (uint32_t child : r.children) {
-        if (child < sb.total_inodes && !visited[child]) {
-          visited[child] = true;
-          queue.push_back(child);
-        }
-      }
-    }
-  }
-  std::unordered_map<uint32_t, uint32_t> ref_counts;
-  for (const auto& local : worker_refs) {
-    for (const auto& [ino, n] : local) {
-      ref_counts[ino] += n;
-    }
-  }
-  if (stats != nullptr) {
-    stats->merge_ns += NowNs() - merge_t0;
-  }
-
-  // --- stale-data checks on the resolved data blocks (parallel) -------
-  if (options.check_stale_data) {
-    uint64_t t0 = NowNs();
-    ParallelChunks(threads, pass1.size(), [&](size_t i) {
-      InodePass1& p = pass1[i];
-      const InodeScan& scan = *p.scan;
-      for (uint32_t blkno : p.stale_candidates) {
-        if (!image->EverWritten(blkno)) {
-          continue;
-        }
-        BlockData blk;
-        image->Read(blkno, &blk);
-        DataBlockTag tag;
-        memcpy(&tag, blk.data(), sizeof(tag));
-        bool all_zero = true;
-        for (size_t b = 0; b < sizeof(tag); ++b) {
-          if (blk[b] != 0) {
-            all_zero = false;
-            break;
-          }
-        }
-        if (all_zero) {
-          continue;
-        }
-        if (tag.magic != kDataTagMagic || tag.ino != options.tag_ino_base + scan.ino ||
-            tag.generation != scan.generation) {
-          p.stale_violations.push_back(
-              {FsckViolationType::kStaleDataExposed,
-               "ino " + std::to_string(scan.ino) + " gen " + std::to_string(scan.generation) +
-                   " block " + std::to_string(blkno) + " holds foreign data (tag ino " +
-                   std::to_string(tag.ino) + " gen " + std::to_string(tag.generation) + ")"});
-        }
-      }
-    });
-    if (stats != nullptr) {
-      stats->inode_scan_ns += NowNs() - t0;
-    }
-  }
-
-  // Assemble pass-1 + pass-2 violations in serial order.
-  for (const auto& p : pass1) {
-    report.violations.insert(report.violations.end(), p.claim_violations.begin(),
-                             p.claim_violations.end());
-    report.violations.insert(report.violations.end(), p.stale_violations.begin(),
-                             p.stale_violations.end());
-  }
-  report.violations.insert(report.violations.end(), dir_violations.begin(),
-                           dir_violations.end());
-
-  // --- phase 3: link-count audit (parallel ranges, ordered concat) ----
-  uint64_t audit_t0 = NowNs();
-  ScanChunks audit_chunks(kRootIno + 1, sb.total_inodes, threads);
-  struct AuditOut {
-    std::vector<FsckViolation> violations;
-    std::vector<FsckFixable> fixables;
-  };
-  std::vector<AuditOut> audit(audit_chunks.count);
-  ParallelChunks(threads, audit_chunks.count, [&](size_t c) {
-    AuditOut& out = audit[c];
-    for (uint32_t ino = audit_chunks.Begin(c); ino < audit_chunks.End(c); ++ino) {
-      DiskInode di = ReadInodeAt(image, sb, ino);
-      if (!di.InUse()) {
-        continue;
-      }
-      uint32_t refs = 0;
-      if (auto it = ref_counts.find(ino); it != ref_counts.end()) {
-        refs = it->second;
-      }
-      uint32_t minimum = refs;
-      uint32_t expected = refs;
-      if (di.IsDir()) {
-        uint32_t children = 0;
-        if (auto cit = child_dir_counts.find(ino); cit != child_dir_counts.end()) {
-          children = cit->second;
-        }
-        if (refs > 0) {
-          minimum = refs + 1;
-          expected = refs + 1 + children;
-        }
-      }
-      if (di.nlink < minimum) {
-        out.violations.push_back(
-            {FsckViolationType::kLinkCountTooLow,
-             "ino " + std::to_string(ino) + " nlink " + std::to_string(di.nlink) + " refs " +
-                 std::to_string(refs)});
-      } else if (refs == 0) {
-        out.fixables.push_back({"orphaned ino " + std::to_string(ino)});
-      } else if (di.nlink != expected) {
-        out.fixables.push_back({"miscounted nlink on ino " + std::to_string(ino) + " nlink " +
-                                std::to_string(di.nlink) + " expected " +
-                                std::to_string(expected)});
-      }
-    }
-  });
-  for (const auto& out : audit) {
-    report.violations.insert(report.violations.end(), out.violations.begin(),
-                             out.violations.end());
-    report.fixables.insert(report.fixables.end(), out.fixables.begin(), out.fixables.end());
-  }
-
-  // --- phase 4: bitmap audit ------------------------------------------
-  ScanChunks bm_chunks(kRootIno, sb.total_inodes, threads);
-  std::vector<std::vector<FsckFixable>> bm_fixables(bm_chunks.count);
-  ParallelChunks(threads, bm_chunks.count, [&](size_t c) {
-    for (uint32_t ino = bm_chunks.Begin(c); ino < bm_chunks.End(c); ++ino) {
-      BlockData bm;
-      image->Read(sb.inode_bitmap_start + ino / kBitsPerBlock, &bm);
-      bool marked = BitmapGet(bm.data(), ino % kBitsPerBlock);
-      bool in_use = ReadInodeAt(image, sb, ino).InUse();
-      if (in_use && !marked) {
-        bm_fixables[c].push_back(
-            {"ino " + std::to_string(ino) + " in use but free in bitmap"});
-      }
-    }
-  });
-  for (const auto& fx : bm_fixables) {
-    report.fixables.insert(report.fixables.end(), fx.begin(), fx.end());
-  }
-  // Block-bitmap part: iterate the merged owner map. Its iteration order
-  // matches the serial checker's map because both received the identical
-  // try_emplace sequence. Bitmap blocks are prefetched once; the serial
-  // checker re-reads per entry but sees the same bytes.
-  std::vector<BlockData> block_bitmap(sb.block_bitmap_blocks);
-  for (uint32_t b = 0; b < sb.block_bitmap_blocks; ++b) {
-    image->Read(sb.block_bitmap_start + b, &block_bitmap[b]);
-  }
-  for (const auto& [blkno, owner] : block_owner) {
-    (void)owner;
-    const BlockData& bm = block_bitmap[blkno / kBitsPerBlock];
-    if (!BitmapGet(bm.data(), blkno % kBitsPerBlock)) {
-      report.fixables.push_back(
-          {"block " + std::to_string(blkno) + " in use but free in bitmap"});
-    }
-  }
-  if (stats != nullptr) {
-    stats->audit_ns += NowNs() - audit_t0;
-  }
-  return report;
-}
+uint32_t NumShards(const ShardLayout& layout) { return std::max(layout.num_shards, 1u); }
 
 }  // namespace
 
-void RegisterPfsckStats(StatsRegistry* registry, const PfsckStats& stats) {
-  registry->counter("fsck.phase_inode_scan_ns").Inc(stats.inode_scan_ns);
-  registry->counter("fsck.phase_dir_walk_ns").Inc(stats.dir_walk_ns);
-  registry->counter("fsck.phase_merge_ns").Inc(stats.merge_ns);
-  registry->counter("fsck.phase_audit_ns").Inc(stats.audit_ns);
-  registry->counter("fsck.repair_merge_ns").Inc(stats.repair_merge_ns);
-  registry->counter("fsck.work_steals").Inc(stats.work_steals);
-  registry->counter("fsck.merge_conflicts").Inc(stats.merge_conflicts);
-  registry->counter("fsck.shard_checks").Inc(stats.shard_checks);
-  registry->gauge("fsck.threads").Set(stats.threads);
-}
-
 FsckReport PfsckCheck(const DiskImage* image, const FsckOptions& options,
                       PfsckStats* stats) {
-  if (options.threads <= 1) {
-    // The guaranteed-identical baseline (also taken for threads == 1:
-    // one worker would only add scheduling overhead).
-    FsckChecker checker(image, options);
-    return checker.Check();
-  }
-  return ParallelCheck(image, options, stats);
+  return FsckChecker(image, options).Check(stats);
 }
 
 FsckRepairReport PfsckRepair(DiskImage* image, const FsckOptions& options,
                              PfsckStats* stats) {
-  if (options.threads <= 1) {
-    return FsckRepairer(image, options).Repair();
-  }
-  // Serial repair passes (identical mutations), parallel convergence
-  // re-checks. The re-check report is byte-identical to the serial one,
-  // so the pass count and the final image are too.
-  FsckRepairReport report;
-  FsckRepairer repairer(image, options);
-  if (!repairer.LoadSuper()) {
-    return report;
-  }
-  for (int pass = 0; pass < kMaxFsckRepairPasses; ++pass) {
-    ++report.passes;
-    repairer.RunPass(&report);
-    FsckReport check = PfsckCheck(image, options, stats);
-    if (check.violations.empty() && check.fixables.empty()) {
-      report.clean_after = true;
-      break;
-    }
-  }
-  return report;
+  return FsckRepairer(image, options).Repair(stats);
 }
-
-namespace {
-
-FsckOptions ShardOptions(const FsckOptions& base, const ShardLayout& layout, uint32_t s,
-                         uint32_t inner_threads) {
-  FsckOptions opts = base;
-  // Shard data blocks are tagged with GLOBAL inode numbers.
-  opts.tag_ino_base = s * layout.ino_stride;
-  opts.threads = inner_threads;
-  return opts;
-}
-
-// Thread budget left for inside-shard parallelism once shards run
-// concurrently.
-uint32_t InnerThreads(uint32_t threads, uint32_t num_shards) {
-  if (num_shards == 0 || threads <= num_shards) {
-    return 0;
-  }
-  return threads / num_shards;
-}
-
-void MergeShardReport(const FsckReport& shard, FsckReport* total) {
-  total->violations.insert(total->violations.end(), shard.violations.begin(),
-                           shard.violations.end());
-  total->fixables.insert(total->fixables.end(), shard.fixables.begin(),
-                         shard.fixables.end());
-  total->inodes_in_use += shard.inodes_in_use;
-  total->dirs_seen += shard.dirs_seen;
-  total->files_seen += shard.files_seen;
-  total->blocks_claimed += shard.blocks_claimed;
-}
-
-}  // namespace
 
 FsckReport PfsckCheckSharded(const DiskImage& volume, const ShardLayout& layout,
                              const FsckOptions& options, PfsckStats* stats) {
-  const uint32_t shards = layout.num_shards;
-  if (shards <= 1) {
-    return PfsckCheck(&volume, options, stats);
-  }
-  std::vector<FsckReport> reports(shards);
-  std::vector<PfsckStats> shard_stats(shards);
-  const uint32_t inner = InnerThreads(options.threads, shards);
-  auto check_shard = [&](uint32_t s) {
-    DiskImage region = volume.ExtractRegion(s * layout.shard_blocks, layout.shard_blocks);
-    reports[s] = PfsckCheck(&region, ShardOptions(options, layout, s, inner),
-                            &shard_stats[s]);
-  };
-  if (options.threads <= 1) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      check_shard(s);
-    }
-  } else {
-    ParallelChunks(std::min(options.threads, shards), shards,
-                   [&](size_t s) { check_shard(static_cast<uint32_t>(s)); });
-  }
   FsckReport total;
-  for (uint32_t s = 0; s < shards; ++s) {
-    MergeShardReport(reports[s], &total);
-    if (stats != nullptr) {
-      stats->Add(shard_stats[s]);
-      ++stats->shard_checks;
-    }
-  }
-  if (stats != nullptr) {
-    stats->threads = options.threads;
+  for (uint32_t s = 0; s < NumShards(layout); ++s) {
+    FsckReport shard = FsckChecker(&volume, ShardOptions(options, layout, s),
+                                   s * layout.shard_blocks, layout.shard_blocks)
+                           .Check(stats);
+    total.violations.insert(total.violations.end(), shard.violations.begin(),
+                            shard.violations.end());
+    total.fixables.insert(total.fixables.end(), shard.fixables.begin(),
+                          shard.fixables.end());
+    total.inodes_in_use += shard.inodes_in_use;
+    total.dirs_seen += shard.dirs_seen;
+    total.files_seen += shard.files_seen;
+    total.blocks_claimed += shard.blocks_claimed;
   }
   return total;
 }
@@ -734,52 +51,16 @@ std::vector<FsckRepairReport> PfsckRepairSharded(DiskImage* volume,
                                                  const FsckOptions& options,
                                                  FsckRepairReport* merged,
                                                  PfsckStats* stats) {
-  const uint32_t shards = layout.num_shards == 0 ? 1 : layout.num_shards;
-  std::vector<FsckRepairReport> reports(shards);
-  std::vector<std::optional<DiskImage>> regions(shards);
-  std::vector<PfsckStats> shard_stats(shards);
-  const uint32_t inner = InnerThreads(options.threads, shards);
-  auto repair_shard = [&](uint32_t s) {
-    regions[s] = volume->ExtractRegion(s * layout.shard_blocks, layout.shard_blocks);
-    reports[s] = PfsckRepair(&*regions[s], ShardOptions(options, layout, s, inner),
-                             &shard_stats[s]);
-  };
-  if (options.threads <= 1 || shards == 1) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      repair_shard(s);
-    }
-  } else {
-    ParallelChunks(std::min(options.threads, shards), shards,
-                   [&](size_t s) { repair_shard(static_cast<uint32_t>(s)); });
-  }
-  // Serial merge: write changed blocks back into the volume in shard
-  // order. Shards are disjoint regions, so the result is byte-identical
-  // to repairing them in place sequentially.
-  uint64_t merge_t0 = NowNs();
-  for (uint32_t s = 0; s < shards; ++s) {
-    const DiskImage& region = *regions[s];
-    const uint32_t base = s * layout.shard_blocks;
-    for (uint32_t blkno : region.WrittenBlocks()) {
-      BlockData repaired;
-      region.Read(blkno, &repaired);
-      BlockData current;
-      volume->Read(base + blkno, &current);
-      if (memcmp(repaired.data(), current.data(), repaired.size()) != 0) {
-        volume->Write(base + blkno, repaired, volume->LastWriteTime());
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->repair_merge_ns += NowNs() - merge_t0;
-    for (uint32_t s = 0; s < shards; ++s) {
-      stats->Add(shard_stats[s]);
-      ++stats->shard_checks;
-    }
-    stats->threads = options.threads;
+  std::vector<FsckRepairReport> reports;
+  for (uint32_t s = 0; s < NumShards(layout); ++s) {
+    reports.push_back(FsckRepairer(volume, ShardOptions(options, layout, s),
+                                   s * layout.shard_blocks, layout.shard_blocks)
+                          .Repair(stats));
   }
   if (merged != nullptr) {
     *merged = {};
-    for (const auto& r : reports) {
+    merged->clean_after = true;
+    for (const FsckRepairReport& r : reports) {
       merged->passes = std::max(merged->passes, r.passes);
       merged->dir_entries_cleared += r.dir_entries_cleared;
       merged->link_counts_fixed += r.link_counts_fixed;
@@ -787,9 +68,6 @@ std::vector<FsckRepairReport> PfsckRepairSharded(DiskImage* volume,
       merged->pointers_cleared += r.pointers_cleared;
       merged->data_blocks_scrubbed += r.data_blocks_scrubbed;
       merged->bitmap_bits_fixed += r.bitmap_bits_fixed;
-    }
-    merged->clean_after = true;
-    for (const auto& r : reports) {
       merged->clean_after = merged->clean_after && r.clean_after;
     }
   }

@@ -1,51 +1,20 @@
-// Parallel fsck (pFSCK-style): threaded check/repair over the static
-// crash image, running real std::thread workers OUTSIDE the sim clock.
+// Crash recovery entry points: check and repair a whole single-disk image
+// or every shard of a sharded volume image.
 //
-// The contract is observational equivalence, not just speed: for any
-// image and any FsckOptions::threads value, PfsckCheck returns an
-// FsckReport byte-identical to FsckChecker::Check() - same violations
-// and fixables in the same order with the same detail strings, same
-// counters - and PfsckRepair leaves the image byte-identical to
-// FsckRepairer::Repair(). The Borrill crash-consistency framing demands
-// this: a recovery tool that is only "mostly" the serial one silently
-// changes which crash states count as recoverable.
+// Each shard of a sharded machine is a complete file system in its own
+// region of the volume, so the sharded check and repair are plain loops
+// over the shards: FsckChecker / FsckRepairer audit each region in place
+// through zero-copy block views (ImageRegion), with no region copy and no
+// merge-back. The reports are identical to checking each region on an
+// extracted copy, and the repaired bytes are identical to repairing the
+// copies and writing them back; the pfsck tests hold the in-place path to
+// that reference.
 //
-// How equivalence is kept while still scanning in parallel:
-//
-//   Phase 1 (parallel)  inode-table ranges are scanned by a worker pool;
-//                       each worker optimistically walks every pointer
-//                       tree and records ordered CLAIM ATTEMPTS (with
-//                       subtree extents) instead of mutating a shared
-//                       claim map.
-//   Phase 2 (parallel)  the directory tree is walked through per-worker
-//                       work-stealing deques seeded with the root; each
-//                       discovered directory is parsed exactly once
-//                       (atomic visit flags) into an order-independent
-//                       per-directory result. Phases 1 and 2 are
-//                       pipelined: every worker drains directory work
-//                       first and falls back to inode-scan chunks, so
-//                       dir discovery overlaps the table scan.
-//   Merge (serial)      claim attempts are replayed in the serial
-//                       checker's exact (ino, pointer) order against one
-//                       owner map - duplicate winners are therefore
-//                       deterministic (lowest ino, first pointer), and
-//                       cross-partition duplicates surface here as
-//                       merge conflicts. Directory results are stitched
-//                       into the serial BFS order by replaying the BFS
-//                       over the recorded children lists (no I/O).
-//   Phase 3/4 (parallel) link-count audit and bitmap audit run over
-//                       inode ranges; per-range findings concatenate in
-//                       range order. The block-bitmap audit iterates the
-//                       merged owner map, whose iteration order matches
-//                       the serial checker's because it received the
-//                       identical insertion sequence.
-//
-// Repair parallelism comes from two places: the convergence re-check
-// after every repair pass uses the parallel checker, and sharded volume
-// images repair all shard regions concurrently (each shard is an
-// independent filesystem in its own region) with a serial merge-back.
-// The mutating repair pass itself stays the serial FsckRepairer pass,
-// which is what makes repaired-image byte-identity trivial to prove.
+// Everything here is serial. The images hold a few hundred inodes per
+// shard; measured on 4 cores with zero-copy reads, no threaded variant
+// was faster than one thread in place, because threads paid for region
+// copies, merges and start-up rather than for the audit (EXPERIMENTS.md,
+// "Crash recovery"). FsckOptions::threads is accepted and ignored.
 #ifndef MUFS_SRC_FSCK_PFSCK_H_
 #define MUFS_SRC_FSCK_PFSCK_H_
 
@@ -54,52 +23,14 @@
 
 #include "src/disk/disk_image.h"
 #include "src/fsck/fsck.h"
-#include "src/stats/stats_registry.h"
 
 namespace mufs {
 
-// Wall-clock phase accounting for a parallel check/repair run. Scan and
-// walk times are cumulative worker-busy nanoseconds (the two phases are
-// pipelined, so per-phase wall time is not well defined); merge and
-// audit are wall-clock. Work-steal counts are scheduling-dependent and
-// therefore NOT deterministic; everything in FsckReport is.
-struct PfsckStats {
-  uint32_t threads = 0;          // Worker threads requested.
-  uint64_t inode_scan_ns = 0;    // Phase 1: inode scan + claim collection.
-  uint64_t dir_walk_ns = 0;      // Phase 2: directory walking.
-  uint64_t merge_ns = 0;         // Serial claim replay + BFS stitch.
-  uint64_t audit_ns = 0;         // Phases 3+4: link-count + bitmap audit.
-  uint64_t repair_merge_ns = 0;  // Sharded repair: region write-back.
-  uint64_t work_steals = 0;      // Dir jobs taken from another worker's deque.
-  uint64_t merge_conflicts = 0;  // Duplicate claims spanning scan partitions.
-  uint64_t shard_checks = 0;     // Shard regions checked/repaired.
-
-  void Add(const PfsckStats& o) {
-    inode_scan_ns += o.inode_scan_ns;
-    dir_walk_ns += o.dir_walk_ns;
-    merge_ns += o.merge_ns;
-    audit_ns += o.audit_ns;
-    repair_merge_ns += o.repair_merge_ns;
-    work_steals += o.work_steals;
-    merge_conflicts += o.merge_conflicts;
-    shard_checks += o.shard_checks;
-  }
-};
-
-// Publishes a run's stats as fsck.* metrics (fsck.phase_*_ns counters,
-// fsck.work_steals, fsck.merge_conflicts, fsck.threads gauge). Only
-// called for threads > 1 runs, so the serial path registers nothing and
-// golden stats dumps stay byte-identical.
-void RegisterPfsckStats(StatsRegistry* registry, const PfsckStats& stats);
-
-// Parallel equivalent of FsckChecker(image, options).Check().
-// options.threads <= 1 runs the serial checker directly (the guaranteed
-// byte-identical baseline); >= 2 spawns that many workers.
+// FsckChecker(image, options).Check(stats).
 FsckReport PfsckCheck(const DiskImage* image, const FsckOptions& options,
                       PfsckStats* stats = nullptr);
 
-// Parallel equivalent of FsckRepairer(image, options).Repair(): serial
-// repair passes with the convergence re-check run by PfsckCheck.
+// FsckRepairer(image, options).Repair(stats).
 FsckRepairReport PfsckRepair(DiskImage* image, const FsckOptions& options,
                              PfsckStats* stats = nullptr);
 
@@ -112,20 +43,14 @@ struct ShardLayout {
   uint32_t ino_stride = 0;
 };
 
-// Checks every shard region of a volume image (extract, per-shard
-// tag_ino_base, check) and merges the per-shard reports in shard order -
-// exactly what the crash harness does serially. threads <= 1 is that
-// serial loop; otherwise shards are checked concurrently, with leftover
-// thread budget (threads / num_shards) parallelizing inside each shard.
+// Checks every shard region in place, in shard order (tag_ino_base =
+// s * ino_stride), and concatenates the per-shard reports in that order.
 FsckReport PfsckCheckSharded(const DiskImage& volume, const ShardLayout& layout,
                              const FsckOptions& options, PfsckStats* stats = nullptr);
 
-// Repairs every shard region concurrently: extract region, repair it as
-// an independent image, then serially write changed blocks back into the
-// volume in shard order (the merge step). Returns per-shard reports;
-// `merged` (if non-null) gets summed counts, max passes and AND-ed
-// clean_after. threads <= 1 runs the same extract/repair/write-back
-// sequence serially - byte-identical volume bytes either way.
+// Repairs every shard region in place, in shard order. Returns the
+// per-shard reports; `merged` (if non-null) gets summed counts, max
+// passes and AND-ed clean_after.
 std::vector<FsckRepairReport> PfsckRepairSharded(DiskImage* volume,
                                                  const ShardLayout& layout,
                                                  const FsckOptions& options,

@@ -20,6 +20,15 @@ struct JournalReplayReport {
   uint64_t blocks_replayed = 0;     // Home-location block writes applied.
   uint64_t log_blocks_scanned = 0;  // Ring blocks examined.
   bool torn_tail = false;           // Scan ended at an incomplete txn.
+
+  // Folds in another shard's replay of the same volume.
+  void Add(const JournalReplayReport& r) {
+    journal_present = journal_present || r.journal_present;
+    txns_replayed += r.txns_replayed;
+    blocks_replayed += r.blocks_replayed;
+    log_blocks_scanned += r.log_blocks_scanned;
+    torn_tail = torn_tail || r.torn_tail;
+  }
 };
 
 class JournalRecovery {

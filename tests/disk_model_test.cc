@@ -157,5 +157,48 @@ TEST(DiskImageTest, SnapshotIsIndependent) {
   EXPECT_EQ(r[0], 2);
 }
 
+TEST(DiskImageTest, ViewOfUnwrittenBlockIsZero) {
+  DiskImage img(1000);
+  const BlockData& v = img.View(42);
+  for (uint8_t byte : v) {
+    ASSERT_EQ(byte, 0);
+  }
+  EXPECT_FALSE(img.EverWritten(42));
+}
+
+TEST(DiskImageTest, ViewEqualsReadOfWrittenBlock) {
+  DiskImage img(1000);
+  BlockData w;
+  for (size_t i = 0; i < w.size(); ++i) {
+    w[i] = static_cast<uint8_t>(i * 13);
+  }
+  img.Write(9, w, 0);
+  BlockData r;
+  img.Read(9, &r);
+  EXPECT_EQ(img.View(9), r);
+  EXPECT_EQ(img.View(9), w);
+}
+
+TEST(DiskImageTest, ViewFollowsLaterWriteAndTornWrite) {
+  DiskImage img(1000);
+  BlockData a;
+  a.fill(1);
+  img.Write(7, a, 0);
+  const BlockData& v = img.View(7);
+  BlockData b;
+  b.fill(2);
+  img.Write(7, b, 0);
+  EXPECT_EQ(v, b);
+  // A torn write persists only the sector prefix; the view shows the
+  // new prefix over the old tail.
+  BlockData c;
+  c.fill(3);
+  img.WriteTorn(7, c, 0);
+  EXPECT_EQ(v[0], 3);
+  EXPECT_EQ(v[kTornPersistBytes - 1], 3);
+  EXPECT_EQ(v[kTornPersistBytes], 2);
+  EXPECT_EQ(v[kBlockSize - 1], 2);
+}
+
 }  // namespace
 }  // namespace mufs

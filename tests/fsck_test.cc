@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/fs/filesystem.h"
 #include "src/fsck/fsck.h"
@@ -173,6 +175,61 @@ TEST(FsckTest, DuplicateBlockClaimDetected) {
     found |= v.type == FsckViolationType::kDuplicateBlockClaim;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(FsckTest, DuplicateClaimNamesLowerInoFirst) {
+  // Inodes are scanned in ascending order, so the lower ino holds the
+  // claim and the report names it first.
+  Img img;
+  SuperBlock sb = img.sb();
+  uint32_t shared = sb.data_start + 50;
+  img.MakeFile(5, 1, {shared});
+  img.MakeFile(900, 1, {shared, sb.data_start + 51});
+  FsckReport r = FsckChecker(&img.image).Check();
+  std::vector<std::string> duplicates;
+  for (const auto& v : r.violations) {
+    if (v.type == FsckViolationType::kDuplicateBlockClaim) {
+      duplicates.push_back(v.detail);
+    }
+  }
+  EXPECT_EQ(duplicates, std::vector<std::string>{"block " + std::to_string(shared) +
+                                                 " claimed by ino 5 and ino 900"});
+  EXPECT_EQ(r.blocks_claimed, 2u);  // `shared` once, plus ino 900's second block.
+}
+
+TEST(FsckTest, IndirectBlockLostToLowerInoIsNeverWalked) {
+  // ino 5 claims `iblk` as plain data first; ino 800 uses it as its
+  // indirect block. ino 800 loses the claim, so the leaves the block
+  // points to are never claimed.
+  Img img;
+  SuperBlock sb = img.sb();
+  uint32_t iblk = sb.data_start + 100;
+  img.MakeFile(5, 1, {iblk});
+  DiskInode hi;
+  hi.mode = static_cast<uint16_t>(FileType::kRegular);
+  hi.nlink = 1;
+  hi.generation = 1;
+  hi.indirect = iblk;
+  hi.size = kBlockSize;
+  img.WriteInode(800, hi);
+  BlockData leaves;
+  leaves.fill(0);
+  uint32_t* ptrs = reinterpret_cast<uint32_t*>(leaves.data());
+  ptrs[0] = sb.data_start + 101;
+  ptrs[1] = sb.data_start + 102;
+  img.image.Write(iblk, leaves, 0);
+
+  FsckReport r = FsckChecker(&img.image).Check();
+  EXPECT_EQ(r.blocks_claimed, 1u);  // Only `iblk`, by ino 5.
+  ASSERT_EQ(r.violations.size(), 1u);
+  EXPECT_EQ(r.violations[0].detail,
+            "block " + std::to_string(iblk) + " claimed by ino 5 and ino 800");
+  for (const auto& f : r.fixables) {
+    EXPECT_EQ(f.detail.find("block " + std::to_string(sb.data_start + 101)),
+              std::string::npos);
+    EXPECT_EQ(f.detail.find("block " + std::to_string(sb.data_start + 102)),
+              std::string::npos);
+  }
 }
 
 TEST(FsckTest, BadBlockPointerDetected) {
@@ -381,11 +438,10 @@ TEST(FsckRepairTest, CascadingOrphanChainConvergesAndStaysConverged) {
 }
 
 TEST(FsckRepairTest, ShardRegionStaleTagsUseGlobalInoBase) {
-  // A shard region extracted from a volume tags its data with GLOBAL
-  // inode numbers (shard * stride + local). The checker and repairer
-  // must agree: with the right tag_ino_base the region is clean; with
-  // base 0 the same bytes read as a stale-data exposure and the repairer
-  // scrubs them.
+  // A shard region of a volume tags its data with GLOBAL inode numbers
+  // (shard * stride + local). The checker and repairer must agree: with
+  // the right tag_ino_base the region is clean; with base 0 the same
+  // bytes read as a stale-data exposure and the repairer scrubs them.
   constexpr uint32_t kStride = 1024;  // Pretend this is shard 1 of 2.
   Img img;
   SuperBlock sb = img.sb();
@@ -397,40 +453,34 @@ TEST(FsckRepairTest, ShardRegionStaleTagsUseGlobalInoBase) {
   TagDataBlock(data.data(), kStride + 5, img.ReadInode(5).generation);
   img.image.Write(blk, data, 0);
 
-  // Embed the region at shard offset 1 of a two-shard volume and pull
-  // it back out, as the crash harness does.
+  // Embed the image as shard 1 of a two-shard volume and audit that
+  // region in place, as the crash harness does.
   DiskImage volume(2 * kBlocks);
   for (uint32_t b : img.image.WrittenBlocks()) {
-    BlockData content;
-    img.image.Read(b, &content);
-    volume.Write(kBlocks + b, content, 0);
+    volume.Write(kBlocks + b, img.image.View(b), 0);
   }
-  DiskImage region = volume.ExtractRegion(kBlocks, kBlocks);
 
   FsckOptions right;
   right.check_stale_data = true;
   right.tag_ino_base = kStride;
-  EXPECT_TRUE(FsckChecker(&region, right).Check().Clean());
+  EXPECT_TRUE(FsckChecker(&volume, right, kBlocks, kBlocks).Check().Clean());
 
   FsckOptions wrong;
   wrong.check_stale_data = true;
-  FsckReport flagged = FsckChecker(&region, wrong).Check();
+  FsckReport flagged = FsckChecker(&volume, wrong, kBlocks, kBlocks).Check();
   ASSERT_FALSE(flagged.Clean());
   EXPECT_EQ(flagged.violations[0].type, FsckViolationType::kStaleDataExposed);
 
   // Repair with the right base leaves the data alone...
-  DiskImage keep = region.Snapshot();
-  FsckRepairReport kept = FsckRepairer(&keep, right).Repair();
+  DiskImage keep = volume.Snapshot();
+  FsckRepairReport kept = FsckRepairer(&keep, right, kBlocks, kBlocks).Repair();
   EXPECT_EQ(kept.data_blocks_scrubbed, 0u);
-  BlockData after;
-  keep.Read(blk, &after);
-  EXPECT_EQ(after[sizeof(DataBlockTag)], 0x5a);
+  EXPECT_EQ(keep.View(kBlocks + blk)[sizeof(DataBlockTag)], 0x5a);
   // ...with base 0 it scrubs the "foreign" block.
-  DiskImage scrub = region.Snapshot();
-  FsckRepairReport scrubbed = FsckRepairer(&scrub, wrong).Repair();
+  DiskImage scrub = volume.Snapshot();
+  FsckRepairReport scrubbed = FsckRepairer(&scrub, wrong, kBlocks, kBlocks).Repair();
   EXPECT_GE(scrubbed.data_blocks_scrubbed, 1u);
-  scrub.Read(blk, &after);
-  EXPECT_EQ(after[sizeof(DataBlockTag)], 0);
+  EXPECT_EQ(scrub.View(kBlocks + blk)[sizeof(DataBlockTag)], 0);
 }
 
 TEST(FsckRepairTest, DuplicateBlockWinnerIsLowestIno) {

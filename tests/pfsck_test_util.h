@@ -1,9 +1,9 @@
-// Shared helpers for the parallel-fsck equivalence battery: a metadata
-// churn workload that produces rich crash states (duplicate claims,
-// dangling entries, orphans, directory trees), plus comparators that
-// assert a parallel FsckReport / repaired image is BYTE-identical to the
-// serial one - same findings in the same order with the same detail
-// strings, same counters, same stable-storage bytes.
+// Shared helpers for the in-place recovery battery: a metadata churn
+// workload that produces rich crash states (duplicate claims, dangling
+// entries, orphans, directory trees), plus comparators that hold the
+// in-place sharded check and repair to the extracted-region reference
+// (tests/fsck_reference.h) - same findings in the same order with the
+// same detail strings, same counters, same stable-storage bytes.
 #ifndef MUFS_TESTS_PFSCK_TEST_UTIL_H_
 #define MUFS_TESTS_PFSCK_TEST_UTIL_H_
 
@@ -16,6 +16,7 @@
 #include "src/fsck/fsck.h"
 #include "src/fsck/pfsck.h"
 #include "src/workload/workloads.h"
+#include "tests/fsck_reference.h"
 
 namespace mufs {
 
@@ -44,58 +45,42 @@ inline Task<void> PfsckChurn(Machine& m, Proc& p) {
   (void)co_await m.vfs().Rmdir(p, "/a/sub");
 }
 
-// Asserts byte-identity of two FsckReports (not just set equality: the
-// parallel checker must reproduce the serial ORDER and detail strings).
-inline void ExpectReportsIdentical(const FsckReport& serial, const FsckReport& parallel,
-                                   const std::string& context) {
-  EXPECT_EQ(serial.inodes_in_use, parallel.inodes_in_use) << context;
-  EXPECT_EQ(serial.dirs_seen, parallel.dirs_seen) << context;
-  EXPECT_EQ(serial.files_seen, parallel.files_seen) << context;
-  EXPECT_EQ(serial.blocks_claimed, parallel.blocks_claimed) << context;
-  ASSERT_EQ(serial.violations.size(), parallel.violations.size()) << context;
-  for (size_t i = 0; i < serial.violations.size(); ++i) {
-    EXPECT_EQ(serial.violations[i].type, parallel.violations[i].type)
-        << context << " violation " << i;
-    EXPECT_EQ(serial.violations[i].detail, parallel.violations[i].detail)
-        << context << " violation " << i;
-  }
-  ASSERT_EQ(serial.fixables.size(), parallel.fixables.size()) << context;
-  for (size_t i = 0; i < serial.fixables.size(); ++i) {
-    EXPECT_EQ(serial.fixables[i].detail, parallel.fixables[i].detail)
-        << context << " fixable " << i;
-  }
+inline void ExpectRepairReportsIdentical(const FsckRepairReport& want,
+                                         const FsckRepairReport& got,
+                                         const std::string& context) {
+  EXPECT_EQ(want.passes, got.passes) << context;
+  EXPECT_EQ(want.dir_entries_cleared, got.dir_entries_cleared) << context;
+  EXPECT_EQ(want.link_counts_fixed, got.link_counts_fixed) << context;
+  EXPECT_EQ(want.inodes_cleared, got.inodes_cleared) << context;
+  EXPECT_EQ(want.pointers_cleared, got.pointers_cleared) << context;
+  EXPECT_EQ(want.data_blocks_scrubbed, got.data_blocks_scrubbed) << context;
+  EXPECT_EQ(want.bitmap_bits_fixed, got.bitmap_bits_fixed) << context;
+  EXPECT_EQ(want.clean_after, got.clean_after) << context;
 }
 
-inline void ExpectRepairReportsIdentical(const FsckRepairReport& serial,
-                                         const FsckRepairReport& parallel,
-                                         const std::string& context) {
-  EXPECT_EQ(serial.passes, parallel.passes) << context;
-  EXPECT_EQ(serial.dir_entries_cleared, parallel.dir_entries_cleared) << context;
-  EXPECT_EQ(serial.link_counts_fixed, parallel.link_counts_fixed) << context;
-  EXPECT_EQ(serial.inodes_cleared, parallel.inodes_cleared) << context;
-  EXPECT_EQ(serial.pointers_cleared, parallel.pointers_cleared) << context;
-  EXPECT_EQ(serial.data_blocks_scrubbed, parallel.data_blocks_scrubbed) << context;
-  EXPECT_EQ(serial.bitmap_bits_fixed, parallel.bitmap_bits_fixed) << context;
-  EXPECT_EQ(serial.clean_after, parallel.clean_after) << context;
+// Same stable-storage bytes over the union of both images' written
+// blocks. A block written with zeroes reads like a never-written one,
+// and fsck treats them alike, so the written-block sets may differ:
+// in-place repair writes every block it touches, the reference writes
+// back only blocks whose bytes changed.
+inline void ExpectSameBytes(const DiskImage& a, const DiskImage& b,
+                            const std::string& context) {
+  ASSERT_EQ(a.TotalBlocks(), b.TotalBlocks()) << context;
+  std::vector<uint32_t> blocks = a.WrittenBlocks();
+  std::vector<uint32_t> more = b.WrittenBlocks();
+  blocks.insert(blocks.end(), more.begin(), more.end());
+  for (uint32_t blkno : blocks) {
+    ASSERT_EQ(memcmp(a.View(blkno).data(), b.View(blkno).data(), kBlockSize), 0)
+        << context << ": block " << blkno << " differs";
+  }
 }
 
 // Strict stable-storage identity: the same set of ever-written blocks
-// with the same bytes. (A parallel repair that "merely" converges to the
-// same reachable tree but touches different blocks would still fail.)
+// with the same bytes (determinism checks).
 inline void ExpectImagesIdentical(const DiskImage& a, const DiskImage& b,
                                   const std::string& context) {
-  ASSERT_EQ(a.TotalBlocks(), b.TotalBlocks()) << context;
-  std::vector<uint32_t> wa = a.WrittenBlocks();
-  std::vector<uint32_t> wb = b.WrittenBlocks();
-  ASSERT_EQ(wa, wb) << context << ": written-block sets differ";
-  for (uint32_t blkno : wa) {
-    BlockData da;
-    BlockData db;
-    a.Read(blkno, &da);
-    b.Read(blkno, &db);
-    ASSERT_EQ(memcmp(da.data(), db.data(), da.size()), 0)
-        << context << ": block " << blkno << " differs";
-  }
+  ASSERT_EQ(a.WrittenBlocks(), b.WrittenBlocks()) << context << ": written-block sets differ";
+  ExpectSameBytes(a, b, context);
 }
 
 // The shard geometry of a machine configuration, for driving
@@ -107,6 +92,16 @@ inline ShardLayout LayoutOf(const MachineConfig& cfg) {
   layout.shard_blocks = m.ShardBlocks();
   layout.ino_stride = m.InoStride();
   return layout;
+}
+
+// Replays every shard's journal in place, as the crash harness does
+// before it checks.
+inline JournalReplayReport ReplayShards(DiskImage* image, const ShardLayout& layout) {
+  JournalReplayReport total;
+  for (uint32_t s = 0; s < layout.num_shards; ++s) {
+    total.Add(JournalRecovery(image, s * layout.shard_blocks).Run());
+  }
+  return total;
 }
 
 }  // namespace mufs
