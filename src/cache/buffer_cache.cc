@@ -179,12 +179,21 @@ Task<void> BufferCache::BeginRead(Buf& buf) {
   }
 }
 
+void BufferCache::SetDirtyState(Buf& buf, bool dirty, bool write_failed) {
+  if (buf.dirty_ != dirty) {
+    stat_dirty_->Add(dirty ? 1 : -1);
+  }
+  dirty_count_ -= buf.dirty_ && !buf.write_failed_;
+  buf.dirty_ = dirty;
+  buf.write_failed_ = write_failed;
+  dirty_count_ += dirty && !write_failed;
+}
+
 void BufferCache::MarkDirty(Buf& buf) {
   assert(buf.valid_);
   if (!buf.dirty_) {
-    buf.dirty_ = true;
+    SetDirtyState(buf, true, buf.write_failed_);
     stat_delayed_writes_->Inc();
-    stat_dirty_->Add(1);
   }
 }
 
@@ -199,10 +208,7 @@ uint64_t BufferCache::IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer) 
   assert(buf->valid_);
   assert(config_.copy_blocks || buf->writes_in_flight_ == 0);
   buf->writes_in_flight_++;
-  if (buf->dirty_) {
-    stat_dirty_->Add(-1);
-  }
-  buf->dirty_ = false;
+  SetDirtyState(*buf, false, buf->write_failed_);
   buf->syncer_mark_ = false;
   // The write captures the buffer's current content (safe copy or io
   // lock), so the visibility stamps it carries are on their way out; any
@@ -256,7 +262,7 @@ uint64_t BufferCache::IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer) 
           capacity_cv_.NotifyAll();
         }
         if (status == IoStatus::kOk) {
-          buf->write_failed_ = false;
+          SetDirtyState(*buf, buf->dirty_, false);
           hooks_->WriteDone(*buf);
         } else {
           // Nothing reached the disk: keep the bytes dirty, but flag the
@@ -267,11 +273,7 @@ uint64_t BufferCache::IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer) 
           if (stats_->tracing()) {
             stats_->Trace("cache.write_failed", {{"blkno", buf->blkno_}});
           }
-          buf->write_failed_ = true;
-          if (!buf->dirty_) {
-            buf->dirty_ = true;
-            stat_dirty_->Add(1);
-          }
+          SetDirtyState(*buf, true, true);
           hooks_->WriteAborted(*buf);
         }
         buf->rolled_back_ = false;
@@ -379,16 +381,6 @@ void BufferCache::DropClean() {
       ++it;
     }
   }
-}
-
-size_t BufferCache::DirtyCount() const {
-  size_t n = 0;
-  for (const auto& [blkno, buf] : buffers_) {
-    if (buf->dirty_ && !buf->write_failed_) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 size_t BufferCache::FailedCount() const {

@@ -255,7 +255,7 @@ class BufferCache {
   // Number of dirty buffers (tests / syncer accounting). Excludes
   // write-failed buffers: they are permanently unflushable and must not
   // keep drain loops spinning.
-  size_t DirtyCount() const;
+  size_t DirtyCount() const { return dirty_count_; }
   // Dirty buffers whose last write failed terminally.
   size_t FailedCount() const;
   size_t CachedCount() const { return buffers_.size(); }
@@ -280,6 +280,9 @@ class BufferCache {
   Task<void> WaitForCopyBudget();
   uint64_t IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer);
   void Touch(Buf& buf);
+  // The only writer of Buf::dirty_ and Buf::write_failed_: keeps the
+  // cache.dirty_blocks gauge and dirty_count_ in step with them.
+  void SetDirtyState(Buf& buf, bool dirty, bool write_failed);
 
   Engine* engine_;
   BlockDevice* driver_;
@@ -304,6 +307,7 @@ class BufferCache {
   Gauge* stat_copies_out_ = nullptr;
 
   std::unordered_map<uint32_t, BufRef> buffers_;
+  size_t dirty_count_ = 0;  // Buffers with dirty_ && !write_failed_.
   std::map<uint64_t, Buf*> lru_;  // tick -> buffer, oldest first.
   uint64_t next_tick_ = 1;
   uint32_t syncer_cursor_ = 0;  // Block-number window cursor for passes.

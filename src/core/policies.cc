@@ -204,7 +204,7 @@ Task<void> ConventionalPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   NoteOrderingPoint("inode_free", "sync_write");
   // The truncation usually wrote the reset inode (mode already 0) a
   // moment ago; only write again if something changed since.
-  if (ip.dirty || ip.itable_buf->dirty()) {
+  if (ip.dirty() || ip.itable_buf->dirty()) {
     co_await fs()->FlushInodeToBuffer(ip);
     SimTime t0 = fs()->engine()->Now();
     IoStatus ws = co_await fs()->cache()->Bwrite(ip.itable_buf);
@@ -298,7 +298,7 @@ Task<void> SchedulerFlagPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef d
 
 Task<void> SchedulerFlagPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   NoteOrderingPoint("inode_free", "flagged_write");
-  if (ip.dirty || ip.itable_buf->dirty()) {
+  if (ip.dirty() || ip.itable_buf->dirty()) {
     co_await fs()->FlushInodeToBuffer(ip);
     OrderingTag free_tag;
     free_tag.flag = true;
@@ -450,7 +450,7 @@ Task<void> SchedulerChainPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
     auto barrier = BarrierDeps();
     tag.deps.insert(tag.deps.end(), barrier.begin(), barrier.end());
   }
-  if (ip.dirty || ip.itable_buf->dirty() || !tag.deps.empty()) {
+  if (ip.dirty() || ip.itable_buf->dirty() || !tag.deps.empty()) {
     tag.device_ordered = !tag.deps.empty();
     co_await fs()->FlushInodeToBuffer(ip);
     uint64_t id = co_await fs()->cache()->Bawrite(ip.itable_buf, std::move(tag));

@@ -203,9 +203,9 @@ void FileSystem::SerializeInodesInto(Buf& buf) {
   uint32_t first_ino = (buf.blkno() - sb_.inode_table_start) * kInodesPerBlock;
   for (uint32_t i = 0; i < kInodesPerBlock; ++i) {
     auto it = inode_cache_.find(first_ino + i);
-    if (it != inode_cache_.end() && it->second->dirty) {
+    if (it != inode_cache_.end() && it->second->dirty_) {
       memcpy(buf.data().data() + i * kInodeSize, &it->second->d, sizeof(DiskInode));
-      it->second->dirty = false;
+      SetInodeDirty(*it->second, false);
     }
   }
 }
@@ -229,7 +229,7 @@ Task<InodeRef> FileSystem::Iget(Proc& proc, uint32_t ino) {
   memcpy(&ip->d, buf->data().data() + sb_.ItableOffset(ino), sizeof(DiskInode));
   ip->itable_buf = buf;
   EvictInodesIfNeeded();
-  inode_cache_[ino] = ip;
+  CacheInode(ip);
   co_return ip;
 }
 
@@ -241,7 +241,7 @@ InodeRef FileSystem::IgetCached(uint32_t ino) {
 void FileSystem::DropCleanInodes() {
   for (auto it = inode_cache_.begin(); it != inode_cache_.end();) {
     const InodeRef& ip = it->second;
-    if (ip.use_count() == 1 && !ip->dirty && ip->dep_pin == 0 && !ip->lock.Held()) {
+    if (ip.use_count() == 1 && !ip->dirty_ && ip->dep_pin == 0 && !ip->lock.Held()) {
       it = inode_cache_.erase(it);
     } else {
       ++it;
@@ -255,7 +255,7 @@ void FileSystem::EvictInodesIfNeeded() {
   }
   for (auto it = inode_cache_.begin(); it != inode_cache_.end();) {
     const InodeRef& ip = it->second;
-    if (ip.use_count() == 1 && !ip->dirty && ip->dep_pin == 0 && !ip->lock.Held()) {
+    if (ip.use_count() == 1 && !ip->dirty_ && ip->dep_pin == 0 && !ip->lock.Held()) {
       it = inode_cache_.erase(it);
     } else {
       ++it;
@@ -267,13 +267,13 @@ Task<void> FileSystem::FlushInodeToBuffer(Inode& ip) {
   BufRef buf = ip.itable_buf;
   co_await cache_->BeginUpdate(*buf);
   memcpy(buf->data().data() + sb_.ItableOffset(ip.ino), &ip.d, sizeof(DiskInode));
-  ip.dirty = false;
+  SetInodeDirty(ip, false);
   cache_->MarkDirty(*buf);
 }
 
 Task<void> FileSystem::MarkInodeDirty(Proc& proc, Inode& ip) {
   co_await Charge(proc, config_.costs.inode_update);
-  ip.dirty = true;
+  SetInodeDirty(ip, true);
   if (policy_->WriteThroughInodes()) {
     // Section 3.3: pushing the change into the buffer can wait on the
     // write lock of an in-flight request (unless -CB is configured).
@@ -286,25 +286,39 @@ Task<void> FileSystem::MarkInodeDirty(Proc& proc, Inode& ip) {
   policy_->NoteInodeUpdate(proc, ip);
 }
 
-bool FileSystem::AnyDirtyInode() const {
-  for (const auto& [ino, ip] : inode_cache_) {
-    if (ip->dirty) {
-      return true;
-    }
+void FileSystem::SetInodeDirty(Inode& ip, bool dirty) {
+  if (ip.dirty_ == dirty) {
+    return;
   }
-  return false;
+  ip.dirty_ = dirty;
+  // An inode displaced from its slot (see CacheInode) is no longer counted.
+  auto it = inode_cache_.find(ip.ino);
+  if (it != inode_cache_.end() && it->second.get() == &ip) {
+    dirty ? ++dirty_inodes_ : --dirty_inodes_;
+  }
+}
+
+void FileSystem::CacheInode(InodeRef ip) {
+  assert(!ip->dirty_);
+  InodeRef& slot = inode_cache_[ip->ino];
+  // Create and Mkdir can reuse the number of a freed inode that is still
+  // dirty under a delayed-write policy; its count leaves with the slot.
+  if (slot != nullptr && slot->dirty_) {
+    --dirty_inodes_;
+  }
+  slot = std::move(ip);
 }
 
 Task<void> FileSystem::FlushDirtyInodes() {
   std::vector<uint32_t> dirty;
   for (const auto& [ino, ip] : inode_cache_) {
-    if (ip->dirty) {
+    if (ip->dirty_) {
       dirty.push_back(ino);
     }
   }
   for (uint32_t ino : dirty) {
     auto it = inode_cache_.find(ino);
-    if (it != inode_cache_.end() && it->second->dirty) {
+    if (it != inode_cache_.end() && it->second->dirty_) {
       co_await FlushInodeToBuffer(*it->second);
       cache_->MarkDirty(*it->second->itable_buf);
     }

@@ -32,14 +32,22 @@ namespace mufs {
 // on-disk bytes live in the inode-table block buffer (paper appendix:
 // "the inode structure manipulated by the file system is always separate
 // from the corresponding source block for disk writes").
-struct Inode {
+class Inode {
+ public:
   Inode(Engine* engine, uint32_t ino_num) : ino(ino_num), lock(engine) {}
   uint32_t ino;
   DiskInode d;
-  bool dirty = false;   // In-core copy newer than the itable buffer.
   int dep_pin = 0;      // Soft-updates pin: keep in-core while > 0.
   Mutex lock;           // Serializes operations on this inode.
   BufRef itable_buf;    // Pinned inode-table block holding this inode.
+
+  // In-core copy newer than the itable buffer. Only FileSystem sets it,
+  // which keeps FileSystem's count of dirty cached inodes exact.
+  bool dirty() const { return dirty_; }
+
+ private:
+  friend class FileSystem;
+  bool dirty_ = false;
 };
 using InodeRef = std::shared_ptr<Inode>;
 
@@ -147,7 +155,7 @@ class FileSystem : public FsInterface {
 
   // Flushes every dirty in-core inode into its buffer (syncer pre-pass).
   Task<void> FlushDirtyInodes();
-  bool AnyDirtyInode() const override;
+  bool AnyDirtyInode() const override { return dirty_inodes_ != 0; }
 
   // Marks the in-core inode dirty; with write-through policies also
   // pushes it into the itable buffer immediately.
@@ -214,6 +222,11 @@ class FileSystem : public FsInterface {
   uint32_t NowSeconds() const;
   void SerializeInodesInto(Buf& buf);
   void EvictInodesIfNeeded();
+  // The only writer of Inode::dirty_ and the only insert into
+  // inode_cache_ (erasures drop clean inodes only), so dirty_inodes_
+  // always equals the number of dirty cached inodes.
+  void SetInodeDirty(Inode& ip, bool dirty);
+  void CacheInode(InodeRef ip);
 
   Engine* engine_;
   Cpu* cpu_;
@@ -226,6 +239,7 @@ class FileSystem : public FsInterface {
   bool io_degraded_ = false;  // Some metadata may never have hit disk.
 
   std::unordered_map<uint32_t, InodeRef> inode_cache_;
+  size_t dirty_inodes_ = 0;  // Entries of inode_cache_ with dirty_ set.
   Mutex alloc_lock_;  // Serializes bitmap allocation decisions.
   uint32_t block_rotor_ = 0;
   uint32_t inode_rotor_ = 1;

@@ -225,7 +225,7 @@ Task<Result<uint32_t>> FileSystem::Create(Proc& proc, const std::string& path) {
   ip->d.size = 0;
   ip->d.atime = ip->d.mtime = ip->d.ctime = NowSeconds();
   ip->itable_buf = itable;
-  inode_cache_[ino.value()] = ip;
+  CacheInode(ip);
   co_await MarkInodeDirty(proc, *ip);
 
   Result<EntryLoc> entry = co_await AddEntry(proc, *parent, pl.value().leaf, ino.value());
@@ -275,7 +275,7 @@ Task<FsStatus> FileSystem::Mkdir(Proc& proc, const std::string& path) {
   ip->d.spare[0] = parent->ino;  // ".." kept in the inode.
   ip->d.atime = ip->d.mtime = ip->d.ctime = NowSeconds();
   ip->itable_buf = itable;
-  inode_cache_[ino.value()] = ip;
+  CacheInode(ip);
   co_await MarkInodeDirty(proc, *ip);
 
   parent->d.nlink++;  // New subdirectory's "..".

@@ -39,7 +39,7 @@
 namespace mufs {
 
 class FileSystem;
-struct Inode;
+class Inode;
 
 // What a freshly allocated block will hold. Directory and indirect
 // blocks are metadata (their content is ordering-relevant); file data

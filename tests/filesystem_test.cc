@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/machine.h"
 #include "src/fsck/fsck.h"
+#include "src/sim/rng.h"
 
 namespace mufs {
 namespace {
@@ -414,6 +417,26 @@ TEST_P(FsTest, BlocksAreReusedAfterFree) {
   });
 }
 
+// Create can reuse the number of a freed inode that a delayed-write
+// scheme has not flushed yet, displacing it from the inode cache. The
+// displaced inode must not keep AnyDirtyInode() true after a full sync.
+TEST_P(FsTest, ReusedInodeNumberLeavesNoDirtyInodeAfterSync) {
+  Machine m(Cfg());
+  Proc p = m.MakeProc("u");
+  RunOnMachine(m, p, [](Machine& m, Proc& p) -> Task<void> {
+    Result<uint32_t> a = co_await m.fs().Create(p, "/a");
+    CO_ASSERT_TRUE(a.Ok());
+    CO_ASSERT_EQ(co_await m.fs().Unlink(p, "/a"), FsStatus::kOk);
+    Result<uint32_t> b = co_await m.fs().Create(p, "/b");
+    CO_ASSERT_TRUE(b.Ok());
+    if (m.config().scheme == Scheme::kNoOrder) {
+      EXPECT_EQ(b.value(), a.value());
+    }
+    CO_ASSERT_EQ(co_await m.fs().SyncEverything(p), FsStatus::kOk);
+    EXPECT_FALSE(m.fs().AnyDirtyInode());
+  });
+}
+
 TEST_P(FsTest, FsckCleanAfterShutdown) {
   Machine m(Cfg());
   Proc p = m.MakeProc("u");
@@ -542,6 +565,102 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, FsTest,
                          [](const ::testing::TestParamInfo<Scheme>& info) {
                            return std::string(SchemeName(info.param));
                          });
+
+// AnyDirtyInode() reads a count that each FileSystem keeps as inodes are
+// dirtied, flushed and displaced from its inode cache. A seeded
+// create/write/unlink churn over a few names brings freed inode numbers
+// back; after every op, each shard's answer must match a recount of its
+// cached inodes. Soft updates can lose a directory entry in this churn (a
+// known defect), so each step looks its name up first and acts on what
+// the file system reports: the churn checks the count, not the namespace.
+class DirtyInodeCountTest : public ::testing::TestWithParam<std::tuple<Scheme, uint32_t>> {};
+
+TEST_P(DirtyInodeCountTest, MatchesRecountThroughChurn) {
+  MachineConfig cfg;
+  cfg.scheme = std::get<0>(GetParam());
+  cfg.disks = std::get<1>(GetParam());
+  cfg.total_inodes = 256;
+  Machine m(cfg);
+  Proc p = m.MakeProc("u");
+  RunOnMachine(m, p, [](Machine& m, Proc& p) -> Task<void> {
+    int clean_checks = 0;
+    auto check = [&m, &clean_checks](int step) {
+      for (size_t s = 0; s < m.NumShards(); ++s) {
+        FileSystem& fs = m.fs(s);
+        size_t dirty = 0;
+        for (uint32_t ino = 0; ino < fs.sb().total_inodes; ++ino) {
+          InodeRef ip = fs.IgetCached(ino);
+          dirty += ip != nullptr && ip->dirty();
+        }
+        EXPECT_EQ(fs.AnyDirtyInode(), dirty != 0) << "shard " << s << ", step " << step;
+        clean_checks += dirty == 0;
+      }
+    };
+    std::set<uint32_t> seen;
+    int reused = 0;
+    Rng rng(11);
+    for (int step = 0; step < 240; ++step) {
+      std::string path = "/f" + std::to_string(rng.UniformInt(0, 5));
+      Result<uint32_t> found = co_await m.vfs().Lookup(p, path);
+      if (!found.Ok()) {
+        Result<uint32_t> ino = co_await m.vfs().Create(p, path);
+        CO_ASSERT_TRUE(ino.Ok());
+        reused += seen.insert(ino.value()).second ? 0 : 1;
+      } else if (rng.Bernoulli(0.5)) {
+        std::vector<uint8_t> data(static_cast<size_t>(rng.UniformInt(1, 3 * kBlockSize)),
+                                  static_cast<uint8_t>(step));
+        CO_ASSERT_TRUE((co_await m.vfs().WriteFile(p, found.value(), 0, data)).Ok());
+      } else {
+        CO_ASSERT_EQ(co_await m.vfs().Unlink(p, path), FsStatus::kOk);
+      }
+      if (step % 40 == 39) {
+        co_await m.engine().Sleep(Sec(3));  // Syncer passes write everything back.
+      }
+      check(step);
+    }
+    CO_ASSERT_EQ(co_await m.vfs().SyncEverything(p), FsStatus::kOk);
+    check(-1);
+    EXPECT_FALSE(m.vfs().AnyDirtyInode());
+    // The churn did what it is for: numbers came back, and both answers
+    // were exercised.
+    EXPECT_GT(reused, 0);
+    EXPECT_GT(clean_checks, 0);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DelayedWriteSchemes, DirtyInodeCountTest,
+    ::testing::Combine(::testing::Values(Scheme::kNoOrder, Scheme::kSoftUpdates, Scheme::kAsync),
+                       ::testing::Values(1u, 2u)),
+    [](const ::testing::TestParamInfo<std::tuple<Scheme, uint32_t>>& info) {
+      return std::string(SchemeName(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param)) + "disk";
+    });
+
+// Only cached inodes are counted: a holder of an inode displaced by a
+// reused number can still dirty it without moving the count.
+TEST(InodeCacheTest, DisplacedInodeDoesNotMoveTheDirtyCount) {
+  MachineConfig cfg;
+  cfg.scheme = Scheme::kNoOrder;
+  Machine m(cfg);
+  Proc p = m.MakeProc("u");
+  RunOnMachine(m, p, [](Machine& m, Proc& p) -> Task<void> {
+    Result<uint32_t> a = co_await m.fs().Create(p, "/a");
+    CO_ASSERT_TRUE(a.Ok());
+    InodeRef old = m.fs().IgetCached(a.value());
+    CO_ASSERT_EQ(co_await m.fs().Unlink(p, "/a"), FsStatus::kOk);
+    CO_ASSERT_EQ(co_await m.fs().SyncEverything(p), FsStatus::kOk);
+    Result<uint32_t> b = co_await m.fs().Create(p, "/b");
+    CO_ASSERT_TRUE(b.Ok());
+    CO_ASSERT_EQ(b.value(), a.value());
+    CO_ASSERT_TRUE(m.fs().IgetCached(b.value()) != old);
+    CO_ASSERT_EQ(co_await m.fs().SyncEverything(p), FsStatus::kOk);
+    CO_ASSERT_TRUE(!m.fs().AnyDirtyInode() && !old->dirty());
+    co_await m.fs().MarkInodeDirty(p, *old);
+    EXPECT_TRUE(old->dirty());
+    EXPECT_FALSE(m.fs().AnyDirtyInode());
+  });
+}
 
 }  // namespace
 }  // namespace mufs

@@ -246,6 +246,57 @@ TEST(SyncerTest, TerminallyFailedBufferIsStickyAndSkipped) {
   EXPECT_EQ(d[0], 0x5e);
 }
 
+// DirtyCount() and FailedCount() follow a buffer that is re-dirtied while
+// a write of it is in flight: the write's outcome decides which count it
+// lands in.
+TEST(SyncerTest, RedirtiedFailedBufferCountsAsDirtyOnceRewriteSucceeds) {
+  DriverConfig dcfg;
+  dcfg.max_retries = 1;
+  Rig rig({}, dcfg);
+  rig.faults.Script({FaultKind::kTransient, FaultKind::kTransient});
+  rig.DirtyBlock(70, 0x5e);
+  rig.cache->SyncerPass(1.0);  // Mark.
+  rig.PassAndSettle(1.0);      // Write: fails terminally.
+  ASSERT_EQ(rig.cache->FailedCount(), 1u);
+  ASSERT_EQ(rig.cache->DirtyCount(), 0u);
+
+  auto body = [](Rig* r) -> Task<void> {
+    BufRef buf = co_await r->cache->Bread(70);
+    uint64_t id = co_await r->cache->Bawrite(buf);
+    // The rewrite took the dirty bit; the sticky flag waits for its outcome.
+    r->cache->MarkDirty(*buf);
+    EXPECT_EQ(r->cache->DirtyCount(), 0u);
+    EXPECT_EQ(r->cache->FailedCount(), 1u);
+    IoStatus s = co_await r->driver->WaitFor(id);
+    EXPECT_EQ(s, IoStatus::kOk);
+  };
+  rig.RunTask(body, &rig);
+  EXPECT_EQ(rig.cache->DirtyCount(), 1u);
+  EXPECT_EQ(rig.cache->FailedCount(), 0u);
+}
+
+TEST(SyncerTest, RedirtiedBufferCountsAsFailedWhenInFlightWriteFails) {
+  DriverConfig dcfg;
+  dcfg.max_retries = 1;
+  Rig rig({}, dcfg);
+  // Both attempts of the first write fail.
+  rig.faults.Script({FaultKind::kTransient, FaultKind::kTransient});
+  rig.DirtyBlock(70, 0x5e);
+
+  auto body = [](Rig* r) -> Task<void> {
+    BufRef buf = co_await r->cache->Bread(70);
+    uint64_t id = co_await r->cache->Bawrite(buf);
+    r->cache->MarkDirty(*buf);
+    EXPECT_EQ(r->cache->DirtyCount(), 1u);
+    EXPECT_EQ(r->cache->FailedCount(), 0u);
+    IoStatus s = co_await r->driver->WaitFor(id);
+    EXPECT_NE(s, IoStatus::kOk);
+  };
+  rig.RunTask(body, &rig);
+  EXPECT_EQ(rig.cache->DirtyCount(), 0u);
+  EXPECT_EQ(rig.cache->FailedCount(), 1u);
+}
+
 TEST(SyncerTest, SyncAllAlsoSkipsFailedBuffersInsteadOfLivelocking) {
   DriverConfig dcfg;
   dcfg.max_retries = 1;
