@@ -5,8 +5,9 @@
 // schemes whose return-time contract differs (Soft Updates, Journaling,
 // Async, with No Order as the lower bound). The headline metric is the
 // average return latency of a metadata mutation (unlink/rmdir for
-// remove; create/unlink/mkdir/rmdir/rename for Sdet): the time the
-// caller is blocked inside the op. Async returns as soon as the update
+// remove; create/unlink/mkdir/rmdir/rename for Sdet), read from the
+// machine's fs.op.<name>.latency_ns histograms: the time the caller is
+// blocked inside the op. Async returns as soon as the update
 // is visible in the cache, so its per-op latency must sit strictly
 // below Journaling (commit gating) and Soft Updates (dependency CPU +
 // rollback writes). End-to-end elapsed time is reported as context; it
@@ -19,8 +20,9 @@
 // (admission stalls, flush epochs) so the latency/durability-lag
 // trade-off is visible as a table.
 //
-// --quick trims the sweep for CI; --json-out=PATH writes the perf
-// trajectory (default BENCH_async.json in the working directory).
+// --json-out=PATH writes the perf trajectory (default BENCH_async.json
+// in the working directory).
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,50 +45,41 @@ uint64_t CounterFromJson(const std::string& json, const std::string& name) {
 
 struct LatencyMeasurement {
   RunMeasurement rm;
-  MetaOpLatency lat;  // Summed over all users.
+  double op_ms = 0;  // Average return latency of the measured ops.
 };
 
-// The remove benchmark with per-op return-latency accounting threaded
-// through (RunRemoveBenchmark, plus a MetaOpLatency per user).
+// Average of the fs.op.<name>.latency_ns histograms for `ops`, over every
+// call the machine served. The setups issue none of these ops.
+double AvgOpMs(Machine& m, std::initializer_list<const char*> ops) {
+  uint64_t count = 0;
+  SimDuration sum = 0;
+  for (const char* op : ops) {
+    const LatencyHistogram& h = m.stats().histogram(std::string("fs.op.") + op + ".latency_ns");
+    count += h.count();
+    sum += h.sum();
+  }
+  return count > 0 ? ToMs(sum) / static_cast<double>(count) : 0;
+}
+
 LatencyMeasurement RunRemoveLatency(const MachineConfig& cfg, int users,
                                     const TreeSpec& tree) {
   Machine m(cfg);
-  std::vector<MetaOpLatency> lats(static_cast<size_t>(users));
-  SetupFn setup = [&tree, users](Machine& mm, Proc& p) -> Task<void> {
-    for (int u = 0; u < users; ++u) {
-      FsStatus s = co_await PopulateTree(mm, p, tree, "/tree" + std::to_string(u));
-      (void)s;
-    }
-  };
-  UserFn body = [&tree, &lats](Machine& mm, Proc& p, int u) -> Task<void> {
-    FsStatus s = co_await RemoveTree(mm, p, tree, "/tree" + std::to_string(u),
-                                     &lats[static_cast<size_t>(u)]);
-    (void)s;
-  };
   LatencyMeasurement out;
-  out.rm = RunMultiUser(m, users, setup, body, /*drop_caches_after_setup=*/true);
-  for (const MetaOpLatency& l : lats) {
-    out.lat.ops += l.ops;
-    out.lat.total += l.total;
-  }
+  out.rm = RunRemoveBenchmark(m, users, tree);
+  out.op_ms = AvgOpMs(m, {"unlink", "rmdir"});
   return out;
 }
 
 LatencyMeasurement RunSdetLatency(const MachineConfig& cfg, int scripts, int operations) {
   Machine m(cfg);
-  std::vector<MetaOpLatency> lats(static_cast<size_t>(scripts));
   SetupFn setup = [](Machine&, Proc&) -> Task<void> { co_return; };
-  UserFn body = [operations, &lats](Machine& mm, Proc& p, int u) -> Task<void> {
+  UserFn body = [operations](Machine& mm, Proc& p, int u) -> Task<void> {
     (void)co_await SdetScript(mm, p, "/script" + std::to_string(u),
-                              /*seed=*/1000 + static_cast<uint64_t>(u), operations,
-                              &lats[static_cast<size_t>(u)]);
+                              /*seed=*/1000 + static_cast<uint64_t>(u), operations);
   };
   LatencyMeasurement out;
   out.rm = RunMultiUser(m, scripts, setup, body, /*drop_caches_after_setup=*/false);
-  for (const MetaOpLatency& l : lats) {
-    out.lat.ops += l.ops;
-    out.lat.total += l.total;
-  }
+  out.op_ms = AvgOpMs(m, {"create", "unlink", "mkdir", "rmdir", "rename"});
   return out;
 }
 
@@ -108,14 +101,14 @@ struct SweepCell {
   uint64_t barrier_stalls = 0;
 };
 
-int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
+int Main(const BenchArgs& args, const std::string& json_out) {
   TreeGenOptions topts;
-  topts.file_count = quick ? 60 : 150;
-  topts.total_bytes = quick ? 600'000 : 1'500'000;
+  topts.file_count = 150;
+  topts.total_bytes = 1'500'000;
   topts.dir_count = 8;
   TreeSpec tree = GenerateTree(topts);
-  const int users = args.users > 0 ? args.users : (quick ? 2 : 4);
-  const int sdet_ops = quick ? 120 : 200;
+  const int users = args.users > 0 ? args.users : 4;
+  const int sdet_ops = 200;
 
   printf("Async ablation: op-return latency with decoupled visibility/durability\n");
   printf("(remove: %d users x %zu-file tree; Sdet: %d scripts x %d ops;\n", users,
@@ -144,11 +137,11 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
     BaselineRow row;
     row.scheme = s;
     LatencyMeasurement rem = RunRemoveLatency(cfg, users, tree);
-    row.remove_op_ms = rem.lat.AvgMs();
+    row.remove_op_ms = rem.op_ms;
     row.remove_elapsed_s = rem.rm.ElapsedAvgSeconds();
     sidecar.Append(std::string(SchemeName(s)) + "/remove", rem.rm.stats_json);
     LatencyMeasurement sd = RunSdetLatency(cfg, users, sdet_ops);
-    row.sdet_op_ms = sd.lat.AvgMs();
+    row.sdet_op_ms = sd.op_ms;
     row.sdet_elapsed_s = sd.rm.ElapsedAvgSeconds();
     sidecar.Append(std::string(SchemeName(s)) + "/sdet", sd.rm.stats_json);
     baselines.push_back(row);
@@ -162,10 +155,8 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
   printf("the window via flush epochs, where No Order defers them past the end.\n\n");
 
   // --- staleness x commit-interval sweep (Async only) ----------------
-  const std::vector<uint64_t> staleness_ms =
-      quick ? std::vector<uint64_t>{100, 500} : std::vector<uint64_t>{25, 100, 500, 2000};
-  const std::vector<uint64_t> interval_ms =
-      quick ? std::vector<uint64_t>{0, 50} : std::vector<uint64_t>{0, 5, 50};
+  const uint64_t staleness_ms[] = {25, 100, 500, 2000};
+  const uint64_t interval_ms[] = {0, 5, 50};
 
   printf("Staleness x commit-interval sweep (Async remove, %d users)\n", users);
   PrintRule(92);
@@ -183,7 +174,7 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
       SweepCell cell;
       cell.staleness_ms = st;
       cell.flush_interval_ms = iv;
-      cell.remove_op_ms = rem.lat.AvgMs();
+      cell.remove_op_ms = rem.op_ms;
       cell.remove_elapsed_s = rem.rm.ElapsedAvgSeconds();
       cell.op_stalls = CounterFromJson(rem.rm.stats_json, "async.op_stalls");
       cell.epochs = CounterFromJson(rem.rm.stats_json, "async.epochs");
@@ -255,14 +246,9 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
     }
     if (async_row->remove_op_ms >= r.remove_op_ms ||
         async_row->sdet_op_ms >= r.sdet_op_ms) {
-      // --quick shrinks the phases below the background machinery's
-      // timescale (one syncer pass covers the whole run), so the schemes
-      // can tie to the tick; only the full run enforces strict ordering.
-      fprintf(stderr, "%s: Async op-return latency not strictly below %s\n",
-              quick ? "warning" : "ERROR", std::string(SchemeName(r.scheme)).c_str());
-      if (!quick) {
-        rc = 1;
-      }
+      fprintf(stderr, "ERROR: Async op-return latency not strictly below %s\n",
+              std::string(SchemeName(r.scheme)).c_str());
+      rc = 1;
     }
   }
   return rc;
@@ -273,15 +259,12 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
 
 int main(int argc, char** argv) {
   mufs::BenchArgs args = mufs::ParseBenchArgs(&argc, argv);
-  bool quick = false;
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a.rfind("--json-out=", 0) == 0) {
+    if (a.rfind("--json-out=", 0) == 0) {
       json_out = argv[i] + 11;
     }
   }
-  return mufs::Main(args, quick, json_out);
+  return mufs::Main(args, json_out);
 }

@@ -7,10 +7,13 @@
 #ifndef MUFS_BENCH_BENCH_COMMON_H_
 #define MUFS_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/workload/workloads.h"
@@ -41,6 +44,49 @@ struct BenchArgs {
   uint64_t staleness_ns = 0;   // 0 = machine default (Async scheme only).
 };
 
+// Flag setters for kBenchFlags. SetCount stores a positive count and
+// returns false, keeping the default, for anything else; SetValue stores
+// any value.
+template <auto kField>
+bool SetCount(BenchArgs& args, const char* value) {
+  int n = std::atoi(value);
+  if (n <= 0) {
+    return false;
+  }
+  args.*kField = static_cast<std::remove_reference_t<decltype(args.*kField)>>(n);
+  return true;
+}
+
+template <auto kField>
+bool SetValue(BenchArgs& args, const char* value) {
+  auto& field = args.*kField;
+  if constexpr (std::is_same_v<decltype(field), std::string&>) {
+    field = value;
+  } else if constexpr (std::is_same_v<decltype(field), double&>) {
+    field = std::atof(value);
+  } else {
+    field = std::strtoull(value, nullptr, 10);
+  }
+  return true;
+}
+
+// The shared flags: each "--name=" prefix and the setter for its value.
+struct BenchFlag {
+  std::string_view prefix;
+  bool (*set)(BenchArgs& args, const char* value);
+};
+inline constexpr BenchFlag kBenchFlags[] = {
+    {"--users=", SetCount<&BenchArgs::users>},
+    {"--stats-out=", SetValue<&BenchArgs::stats_out>},
+    {"--fault-rate=", SetValue<&BenchArgs::fault_rate>},
+    {"--fault-seed=", SetValue<&BenchArgs::fault_seed>},
+    {"--queue-depth=", SetCount<&BenchArgs::queue_depth>},
+    {"--disks=", SetCount<&BenchArgs::disks>},
+    {"--stripe-unit=", SetCount<&BenchArgs::stripe_unit>},
+    {"--shards=", SetCount<&BenchArgs::shards>},
+    {"--staleness-ns=", SetValue<&BenchArgs::staleness_ns>},
+};
+
 // Parses the shared flags, REMOVING recognized arguments from argv so a
 // framework (e.g. google-benchmark) can consume whatever remains.
 // Unrecognized arguments are left in place. `default_users` seeds
@@ -58,51 +104,13 @@ inline BenchArgs ParseBenchArgs(int* argc, char** argv, int default_users = 0) {
   int kept = 1;
   for (int i = 1; i < *argc; ++i) {
     std::string_view a = argv[i];
-    if (a.rfind("--users=", 0) == 0) {
-      int n = std::atoi(argv[i] + 8);
-      if (n > 0) {
-        args.users = n;
-      } else {
-        std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
-      }
-    } else if (a.rfind("--stats-out=", 0) == 0) {
-      args.stats_out = argv[i] + 12;
-    } else if (a.rfind("--fault-rate=", 0) == 0) {
-      args.fault_rate = std::atof(argv[i] + 13);
-    } else if (a.rfind("--fault-seed=", 0) == 0) {
-      args.fault_seed = std::strtoull(argv[i] + 13, nullptr, 10);
-    } else if (a.rfind("--queue-depth=", 0) == 0) {
-      int n = std::atoi(argv[i] + 14);
-      if (n > 0) {
-        args.queue_depth = static_cast<uint32_t>(n);
-      } else {
-        std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
-      }
-    } else if (a.rfind("--disks=", 0) == 0) {
-      int n = std::atoi(argv[i] + 8);
-      if (n > 0) {
-        args.disks = static_cast<uint32_t>(n);
-      } else {
-        std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
-      }
-    } else if (a.rfind("--stripe-unit=", 0) == 0) {
-      int n = std::atoi(argv[i] + 14);
-      if (n > 0) {
-        args.stripe_unit = static_cast<uint32_t>(n);
-      } else {
-        std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
-      }
-    } else if (a.rfind("--shards=", 0) == 0) {
-      int n = std::atoi(argv[i] + 9);
-      if (n > 0) {
-        args.shards = static_cast<uint32_t>(n);
-      } else {
-        std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
-      }
-    } else if (a.rfind("--staleness-ns=", 0) == 0) {
-      args.staleness_ns = std::strtoull(argv[i] + 15, nullptr, 10);
-    } else {
+    const BenchFlag* flag =
+        std::find_if(std::begin(kBenchFlags), std::end(kBenchFlags),
+                     [a](const BenchFlag& f) { return a.starts_with(f.prefix); });
+    if (flag == std::end(kBenchFlags)) {
       argv[kept++] = argv[i];
+    } else if (!flag->set(args, argv[i] + flag->prefix.size())) {
+      std::fprintf(stderr, "warning: ignoring bad %s\n", argv[i]);
     }
   }
   *argc = kept;
@@ -164,9 +172,8 @@ inline RunMeasurement RunCopyBenchmark(const MachineConfig& cfg, int users,
 }
 
 // --- The remove benchmark: each "user" deletes one freshly copied tree.
-inline RunMeasurement RunRemoveBenchmark(const MachineConfig& cfg, int users,
-                                         const TreeSpec& tree) {
-  Machine m(cfg);
+// The Machine& form leaves the machine's stats readable afterwards.
+inline RunMeasurement RunRemoveBenchmark(Machine& m, int users, const TreeSpec& tree) {
   SetupFn real_setup = [&tree, users](Machine& mm, Proc& p) -> Task<void> {
     for (int u = 0; u < users; ++u) {
       FsStatus s = co_await PopulateTree(mm, p, tree, "/tree" + std::to_string(u));
@@ -181,6 +188,12 @@ inline RunMeasurement RunRemoveBenchmark(const MachineConfig& cfg, int users,
   // methodology the metadata is no longer cached (4 trees of copies exceed
   // the 1994 machine's memory); removal re-reads directories and inodes.
   return RunMultiUser(m, users, real_setup, body, /*drop_caches_after_setup=*/true);
+}
+
+inline RunMeasurement RunRemoveBenchmark(const MachineConfig& cfg, int users,
+                                         const TreeSpec& tree) {
+  Machine m(cfg);
+  return RunRemoveBenchmark(m, users, tree);
 }
 
 inline void PrintRule(int width = 100) {

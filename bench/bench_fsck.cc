@@ -9,9 +9,7 @@
 // Every cell re-checks its in-place report against that reference and
 // the binary exits non-zero on a mismatch.
 //
-// Extra flags (on top of bench_common's shared set):
-//   --quick            small workload only, fewer timing repetitions
-//                      (CI smoke mode).
+// Extra flag (on top of bench_common's shared set):
 //   --json-out=PATH    write the perf-trajectory summary (BENCH_fsck.json
 //                      schema) to PATH instead of ./BENCH_fsck.json.
 #include "bench/bench_common.h"
@@ -97,17 +95,14 @@ double BestMs(int reps, Fn&& fn) {
   return best;
 }
 
-int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
+int Main(const BenchArgs& args, const std::string& json_out) {
   struct Size {
     const char* name;
     int dirs;
     int files;
   };
-  std::vector<Size> sizes = {{"small", 4, 30}};
-  if (!quick) {
-    sizes.push_back({"large", 8, 90});
-  }
-  const int reps = quick ? 2 : 3;
+  const Size sizes[] = {{"small", 4, 30}, {"large", 8, 90}};
+  const int reps = 3;
 
   const unsigned cores = std::thread::hardware_concurrency();
   printf("Crash recovery: serial in-place fsck check + repair of crash images "
@@ -216,15 +211,12 @@ int Main(const BenchArgs& args, bool quick, const std::string& json_out) {
 
 int main(int argc, char** argv) {
   mufs::BenchArgs args = mufs::ParseBenchArgs(&argc, argv);
-  bool quick = false;
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a.rfind("--json-out=", 0) == 0) {
+    if (a.rfind("--json-out=", 0) == 0) {
       json_out = argv[i] + 11;
     }
   }
-  return mufs::Main(args, quick, json_out);
+  return mufs::Main(args, json_out);
 }

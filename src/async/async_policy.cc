@@ -8,7 +8,7 @@ void AsyncPolicy::Stamp(const BufRef& buf) {
   }
 }
 
-Task<void> AsyncPolicy::OpBegin(Proc& proc) { co_await ledger_->AdmitOp(proc); }
+Task<void> AsyncPolicy::OpBegin(Proc&) { co_await ledger_->AdmitOp(); }
 
 void AsyncPolicy::OpEnd() { ledger_->NoteVisible(); }
 
@@ -80,7 +80,7 @@ Task<void> AsyncPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
 
 Task<void> AsyncPolicy::FlushAll(Proc& proc) {
   uint64_t horizon = ledger_->visible_seq();
-  co_await ledger_->Barrier(proc);
+  co_await ledger_->Barrier();
   // A barrier that found the horizon already durable skipped the epoch
   // flush; the deferred releases still have to land before the drain
   // below can leave the image clean.

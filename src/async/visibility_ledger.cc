@@ -53,23 +53,19 @@ uint64_t VisibilityLedger::NoteVisible() {
   return seq;
 }
 
-Task<void> VisibilityLedger::AdmitOp(Proc& proc) {
+Task<void> VisibilityLedger::AdmitOp() {
   bool stalled = false;
-  SimTime t0 = engine_->Now();
   while (running_ && !pending_.empty() &&
          engine_->Now() - pending_.front().completed > config_.staleness_window) {
     stalled = true;
     co_await durable_cv_.Await();
   }
-  if (stalled) {
-    proc.io_wait += engine_->Now() - t0;
-    if (stats_ != nullptr) {
-      stat_op_stalls_->Inc();
-    }
+  if (stalled && stats_ != nullptr) {
+    stat_op_stalls_->Inc();
   }
 }
 
-Task<void> VisibilityLedger::Barrier(Proc& proc) {
+Task<void> VisibilityLedger::Barrier() {
   uint64_t horizon = visible_seq_;
   if (stats_ != nullptr) {
     stat_barriers_->Inc();
@@ -83,9 +79,6 @@ Task<void> VisibilityLedger::Barrier(Proc& proc) {
     } else {
       co_await durable_cv_.Await();
     }
-  }
-  if (waited) {
-    proc.io_wait += engine_->Now() - t0;
   }
   if (stats_ != nullptr) {
     stat_barrier_wait_->Record(engine_->Now() - t0);

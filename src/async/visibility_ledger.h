@@ -29,7 +29,6 @@
 #include <deque>
 #include <functional>
 
-#include "src/fs/proc.h"
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -83,12 +82,12 @@ class VisibilityLedger {
   // Admission backpressure, called at op start: stalls while the oldest
   // visible-not-durable op has been outstanding longer than the staleness
   // window, until a flush catches up.
-  Task<void> AdmitOp(Proc& proc);
+  Task<void> AdmitOp();
 
   // Durability barrier: returns once every op visible at entry is
   // durable, forcing an immediate epoch flush instead of waiting for the
   // cadence. The Fsync / cross-shard-rename / unmount path.
-  Task<void> Barrier(Proc& proc);
+  Task<void> Barrier();
 
   // An external full drain (policy FlushAll) proved everything visible up
   // to `seq` durable; advance the horizon and retire pending ops.

@@ -165,7 +165,7 @@ Task<void> BufferCache::EnsureCapacity() {
 }
 
 Task<void> BufferCache::BeginUpdate(Buf& buf) {
-  if (buf.io_locked_ && config_.collect_stats) {
+  if (buf.io_locked_) {
     stat_write_lock_waits_->Inc();
   }
   while (buf.io_locked_) {
@@ -300,7 +300,7 @@ Task<uint64_t> BufferCache::Bawrite(BufRef buf, OrderingTag tag) {
   // -CB each write gets its own copy, so several may be in flight - but
   // the copies consume memory, bounded by the copy budget.
   if (!config_.copy_blocks) {
-    if (buf->writes_in_flight_ > 0 && config_.collect_stats) {
+    if (buf->writes_in_flight_ > 0) {
       stat_write_lock_waits_->Inc();
     }
     while (buf->writes_in_flight_ > 0) {
@@ -315,7 +315,7 @@ Task<void> BufferCache::WaitForCopyBudget() {
   if (!config_.copy_blocks) {
     co_return;
   }
-  if (outstanding_copies_ >= config_.copy_budget_blocks && config_.collect_stats) {
+  if (outstanding_copies_ >= config_.copy_budget_blocks) {
     stat_copy_budget_waits_->Inc();
   }
   while (outstanding_copies_ >= config_.copy_budget_blocks) {

@@ -147,7 +147,6 @@ struct CacheConfig {
   // writers stall (the paper's "system activity exceeds the available
   // memory" regime, section 3.1/3.3).
   size_t copy_budget_blocks = 2048;
-  bool collect_stats = true;
   // Shared metrics registry (the Machine's). When null the cache owns a
   // private registry, so standalone construction needs no guards.
   StatsRegistry* stats = nullptr;

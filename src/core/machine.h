@@ -177,7 +177,6 @@ class Machine {
   SyncerDaemon& syncer(size_t s) { return *syncers_[s]; }
   // Null unless config.fault has a non-zero rate or scripted entries.
   FaultInjector* faults() { return faults_.empty() ? nullptr : faults_[0].get(); }
-  FaultInjector* faults(size_t d) { return faults_[d].get(); }
   // Shard 0's file system (the only one on a single-disk machine).
   FileSystem& fs() { return *fss_[0]; }
   FileSystem& fs(size_t s) { return *fss_[s]; }
@@ -189,10 +188,8 @@ class Machine {
   OrderingPolicy& policy() { return *policies_[0]; }
   // Null unless the scheme is kJournaling (shard 0's journal on multi).
   JournalManager* journal() { return journals_.empty() ? nullptr : journals_[0].get(); }
-  JournalManager* journal(size_t s) { return journals_[s].get(); }
   // Null unless the scheme is kAsync (shard 0's ledger on multi).
   VisibilityLedger* ledger() { return ledgers_.empty() ? nullptr : ledgers_[0].get(); }
-  VisibilityLedger* ledger(size_t s) { return ledgers_[s].get(); }
   // Null unless the machine is multi.
   StripedVolume* volume() { return volume_.get(); }
   ShardedFs* sharded() { return sharded_.get(); }

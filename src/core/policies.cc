@@ -116,9 +116,7 @@ Task<void> ConventionalPolicy::SetupAllocation(Proc& proc, Inode& ip, BufRef dat
     // (section 3.3), so the data buffer itself is never locked.
     BlockDevice* driver = fs()->cache()->driver();
     uint64_t id = driver->IssueWrite(data_buf->blkno(), {fs()->cache()->ZeroBlock()});
-    SimTime t0 = fs()->engine()->Now();
     IoStatus init_status = co_await driver->WaitFor(id);
-    proc.io_wait += fs()->engine()->Now() - t0;
     if (init_status != IoStatus::kOk) {
       // The block may hold stale data from its previous life; committing
       // the pointer anyway matches a disk that dropped the init write.
@@ -137,7 +135,6 @@ Task<void> ConventionalPolicy::SetupBlockFree(Proc& proc, Inode& ip,
   // then the bitmaps are updated (delayed) and reuse is immediate.
   NoteOrderingPoint("block_free", "sync_write");
   co_await fs()->FlushInodeToBuffer(ip);
-  SimTime t0 = fs()->engine()->Now();
   IoStatus ws = co_await fs()->cache()->Bwrite(ip.itable_buf);
   if (ws != IoStatus::kOk) {
     fs()->NoteIoError();
@@ -148,7 +145,6 @@ Task<void> ConventionalPolicy::SetupBlockFree(Proc& proc, Inode& ip,
       fs()->NoteIoError();
     }
   }
-  proc.io_wait += fs()->engine()->Now() - t0;
   // Even on a failed reset write the blocks are released: the buffer
   // stays dirty (write_failed) so a later successful flush restores the
   // ordering invariant, and fsck can repair the transient window.
@@ -157,6 +153,7 @@ Task<void> ConventionalPolicy::SetupBlockFree(Proc& proc, Inode& ip,
 
 Task<void> ConventionalPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf,
                                             uint32_t offset, Inode& target, bool new_inode) {
+  (void)proc;
   (void)dir;
   (void)dir_buf;
   (void)offset;
@@ -166,9 +163,7 @@ Task<void> ConventionalPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_b
   // series of metadata updates is asynchronous or delayed").
   NoteOrderingPoint("link_add", "sync_write");
   co_await fs()->FlushInodeToBuffer(target);
-  SimTime t0 = fs()->engine()->Now();
   IoStatus ws = co_await fs()->cache()->Bwrite(target.itable_buf);
-  proc.io_wait += fs()->engine()->Now() - t0;
   if (ws != IoStatus::kOk) {
     fs()->NoteIoError();
   }
@@ -182,7 +177,6 @@ Task<void> ConventionalPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef di
   (void)offset;
   (void)old_entry;
   NoteOrderingPoint("link_remove", "sync_write");
-  SimTime t0 = fs()->engine()->Now();
   if (rename != nullptr && rename->new_dir_buf->blkno() != dir_buf->blkno()) {
     // Rule 1: the new name reaches disk before the old one is cleared.
     NoteOrderingPoint("rename_fence", "sync_write");
@@ -196,7 +190,6 @@ Task<void> ConventionalPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef di
   if (ws != IoStatus::kOk) {
     fs()->NoteIoError();
   }
-  proc.io_wait += fs()->engine()->Now() - t0;
   co_await fs()->ReleaseLink(proc, removed_ino);
 }
 
@@ -206,9 +199,7 @@ Task<void> ConventionalPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   // moment ago; only write again if something changed since.
   if (ip.dirty() || ip.itable_buf->dirty()) {
     co_await fs()->FlushInodeToBuffer(ip);
-    SimTime t0 = fs()->engine()->Now();
     IoStatus ws = co_await fs()->cache()->Bwrite(ip.itable_buf);
-    proc.io_wait += fs()->engine()->Now() - t0;
     if (ws != IoStatus::kOk) {
       fs()->NoteIoError();
     }

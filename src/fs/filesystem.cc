@@ -65,6 +65,11 @@ FileSystem::FileSystem(Engine* engine, Cpu* cpu, BufferCache* cache, SyncerDaemo
   stat_blocks_allocated_ = &stats_->counter("fs.blocks_allocated");
   stat_blocks_freed_ = &stats_->counter("fs.blocks_freed");
   stat_io_errors_ = &stats_->counter("fs.io_errors");
+  stat_create_latency_ = &stats_->histogram("fs.op.create.latency_ns");
+  stat_mkdir_latency_ = &stats_->histogram("fs.op.mkdir.latency_ns");
+  stat_unlink_latency_ = &stats_->histogram("fs.op.unlink.latency_ns");
+  stat_rmdir_latency_ = &stats_->histogram("fs.op.rmdir.latency_ns");
+  stat_rename_latency_ = &stats_->histogram("fs.op.rename.latency_ns");
 }
 
 bool FileSystem::io_degraded() const {
@@ -72,21 +77,6 @@ bool FileSystem::io_degraded() const {
   // handler, not by any FS call site; fold them in here.
   CacheStats cs = cache_->stats();
   return io_degraded_ || cs.write_failures > 0 || cs.read_failures > 0;
-}
-
-FsOpStats FileSystem::op_stats() const {
-  FsOpStats s;
-  s.creates = stat_creates_->value();
-  s.removes = stat_removes_->value();
-  s.mkdirs = stat_mkdirs_->value();
-  s.rmdirs = stat_rmdirs_->value();
-  s.renames = stat_renames_->value();
-  s.lookups = stat_lookups_->value();
-  s.reads = stat_reads_->value();
-  s.writes = stat_writes_->value();
-  s.blocks_allocated = stat_blocks_allocated_->value();
-  s.blocks_freed = stat_blocks_freed_->value();
-  return s;
 }
 
 FileSystem::~FileSystem() = default;

@@ -161,7 +161,6 @@ class FileSystem : public FsInterface {
   // pushes it into the itable buffer immediately.
   Task<void> MarkInodeDirty(Proc& proc, Inode& ip);
 
-  FsOpStats op_stats() const override;  // Snapshot of the fs.* counters.
   StatsRegistry* stats() const { return stats_; }
 
   // Records an unrecoverable device I/O error noticed by a policy, the
@@ -260,6 +259,12 @@ class FileSystem : public FsInterface {
   Counter* stat_blocks_allocated_ = nullptr;
   Counter* stat_blocks_freed_ = nullptr;
   Counter* stat_io_errors_ = nullptr;
+  // fs.op.<name>.latency_ns: how long each call blocked its caller.
+  LatencyHistogram* stat_create_latency_ = nullptr;
+  LatencyHistogram* stat_mkdir_latency_ = nullptr;
+  LatencyHistogram* stat_unlink_latency_ = nullptr;
+  LatencyHistogram* stat_rmdir_latency_ = nullptr;
+  LatencyHistogram* stat_rename_latency_ = nullptr;
 };
 
 }  // namespace mufs

@@ -34,20 +34,6 @@ struct DirEntryInfo {
   std::string name;
 };
 
-// Snapshot of the fs.* registry counters.
-struct FsOpStats {
-  uint64_t creates = 0;
-  uint64_t removes = 0;
-  uint64_t mkdirs = 0;
-  uint64_t rmdirs = 0;
-  uint64_t renames = 0;
-  uint64_t lookups = 0;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t blocks_allocated = 0;
-  uint64_t blocks_freed = 0;
-};
-
 class FsInterface {
  public:
   virtual ~FsInterface() = default;
@@ -80,7 +66,6 @@ class FsInterface {
   virtual Task<FsStatus> SyncEverything(Proc& proc) = 0;
 
   // --- introspection --------------------------------------------------
-  virtual FsOpStats op_stats() const = 0;  // Snapshot of the fs.* counters.
   virtual bool io_degraded() const = 0;
   virtual bool AnyDirtyInode() const = 0;
   // Drops clean, unpinned in-core inodes (cold-cache simulation).

@@ -19,6 +19,19 @@ struct OpGuard {
   OrderingPolicy* policy;
 };
 
+// Records how long the caller was blocked in a namespace op, on every
+// exit path, failures included. Constructed first in the op, so the
+// policy's OpBegin wait (journal commit gate, async admission) counts.
+struct OpClock {
+  OpClock(Engine* e, LatencyHistogram* h) : engine(e), hist(h), start(e->Now()) {}
+  OpClock(const OpClock&) = delete;
+  OpClock& operator=(const OpClock&) = delete;
+  ~OpClock() { hist->Record(engine->Now() - start); }
+  Engine* engine;
+  LatencyHistogram* hist;
+  SimTime start;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -192,7 +205,7 @@ Task<Result<bool>> FileSystem::DirIsEmpty(Proc& proc, Inode& dir) {
 // ---------------------------------------------------------------------
 
 Task<Result<uint32_t>> FileSystem::Create(Proc& proc, const std::string& path) {
-  ++proc.fs_calls;
+  OpClock clock(engine_, stat_create_latency_);
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   co_await Charge(proc, config_.costs.syscall + config_.costs.create);
@@ -242,7 +255,7 @@ Task<Result<uint32_t>> FileSystem::Create(Proc& proc, const std::string& path) {
 }
 
 Task<FsStatus> FileSystem::Mkdir(Proc& proc, const std::string& path) {
-  ++proc.fs_calls;
+  OpClock clock(engine_, stat_mkdir_latency_);
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   co_await Charge(proc, config_.costs.syscall + config_.costs.create);
@@ -294,7 +307,6 @@ Task<FsStatus> FileSystem::Mkdir(Proc& proc, const std::string& path) {
 
 Task<FsStatus> FileSystem::Link(Proc& proc, const std::string& existing,
                                 const std::string& link_path) {
-  ++proc.fs_calls;
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   co_await Charge(proc, config_.costs.syscall + config_.costs.create);
@@ -334,7 +346,7 @@ Task<FsStatus> FileSystem::Link(Proc& proc, const std::string& existing,
 }
 
 Task<FsStatus> FileSystem::Unlink(Proc& proc, const std::string& path) {
-  ++proc.fs_calls;
+  OpClock clock(engine_, stat_unlink_latency_);
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   co_await Charge(proc, config_.costs.syscall + config_.costs.remove);
@@ -372,7 +384,7 @@ Task<FsStatus> FileSystem::Unlink(Proc& proc, const std::string& path) {
 }
 
 Task<FsStatus> FileSystem::Rmdir(Proc& proc, const std::string& path) {
-  ++proc.fs_calls;
+  OpClock clock(engine_, stat_rmdir_latency_);
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   co_await Charge(proc, config_.costs.syscall + config_.costs.remove);
@@ -424,7 +436,7 @@ Task<FsStatus> FileSystem::Rmdir(Proc& proc, const std::string& path) {
 }
 
 Task<FsStatus> FileSystem::Rename(Proc& proc, const std::string& from, const std::string& to) {
-  ++proc.fs_calls;
+  OpClock clock(engine_, stat_rename_latency_);
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   co_await Charge(proc, config_.costs.syscall + config_.costs.create);
@@ -510,7 +522,6 @@ Task<FsStatus> FileSystem::Rename(Proc& proc, const std::string& from, const std
 }
 
 Task<Result<uint32_t>> FileSystem::Lookup(Proc& proc, const std::string& path) {
-  ++proc.fs_calls;
   stat_lookups_->Inc();
   co_await Charge(proc, config_.costs.syscall);
   Result<PathParts> parts = SplitPath(path);
@@ -546,7 +557,6 @@ Task<Result<StatInfo>> FileSystem::StatIno(Proc& proc, uint32_t ino) {
 
 Task<Result<std::vector<DirEntryInfo>>> FileSystem::ReadDir(Proc& proc,
                                                             const std::string& path) {
-  ++proc.fs_calls;
   co_await Charge(proc, config_.costs.syscall);
   Result<uint32_t> ino = co_await Lookup(proc, path);
   if (!ino.Ok()) {
@@ -588,7 +598,6 @@ Task<Result<std::vector<DirEntryInfo>>> FileSystem::ReadDir(Proc& proc,
 
 Task<Result<uint64_t>> FileSystem::WriteFile(Proc& proc, uint32_t ino, uint64_t offset,
                                              std::span<const uint8_t> data) {
-  ++proc.fs_calls;
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   stat_writes_->Inc();
@@ -644,7 +653,6 @@ Task<Result<uint64_t>> FileSystem::WriteFile(Proc& proc, uint32_t ino, uint64_t 
 
 Task<Result<uint64_t>> FileSystem::ReadFile(Proc& proc, uint32_t ino, uint64_t offset,
                                             std::span<uint8_t> out) {
-  ++proc.fs_calls;
   stat_reads_->Inc();
   InodeRef ip = co_await Iget(proc, ino);
   if (ip == nullptr) {
@@ -686,7 +694,6 @@ Task<Result<uint64_t>> FileSystem::ReadFile(Proc& proc, uint32_t ino, uint64_t o
 }
 
 Task<FsStatus> FileSystem::Truncate(Proc& proc, uint32_t ino, uint64_t new_size) {
-  ++proc.fs_calls;
   co_await policy_->OpBegin(proc);
   OpGuard op(policy_);
   co_await Charge(proc, config_.costs.syscall);
@@ -703,7 +710,6 @@ Task<FsStatus> FileSystem::Truncate(Proc& proc, uint32_t ino, uint64_t new_size)
 // ---------------------------------------------------------------------
 
 Task<FsStatus> FileSystem::Fsync(Proc& proc, uint32_t ino) {
-  ++proc.fs_calls;
   co_await Charge(proc, config_.costs.syscall);
   InodeRef ip = co_await Iget(proc, ino);
   if (ip == nullptr) {
@@ -716,7 +722,6 @@ Task<FsStatus> FileSystem::Fsync(Proc& proc, uint32_t ino) {
 }
 
 Task<FsStatus> FileSystem::SyncEverything(Proc& proc) {
-  ++proc.fs_calls;
   co_await policy_->FlushAll(proc);
   // Buffers whose final write failed terminally stay in the cache (dirty,
   // write_failed) and are excluded from flush passes; report them here so

@@ -1,27 +1,20 @@
 // Simulated process context threaded through file-system calls.
 //
-// Plays the role of `curproc`: identifies who to charge CPU time to and
-// accumulates the per-"user" statistics the paper reports (elapsed time
-// is measured by the workload; CPU time by the Cpu model; I/O wait here).
+// Plays the role of `curproc`: identifies who to charge CPU time to.
+// Elapsed time is measured by the workload, CPU time by the Cpu model,
+// and op-return latency by FileSystem in the stats registry.
 #ifndef MUFS_SRC_FS_PROC_H_
 #define MUFS_SRC_FS_PROC_H_
 
 #include <string>
 
 #include "src/sim/cpu.h"
-#include "src/sim/time.h"
 
 namespace mufs {
 
 struct Proc {
   Pid pid = kSystemPid;
   std::string name = "proc";
-
-  // Accumulated time this process spent blocked on disk I/O (directly:
-  // synchronous writes, read misses, write-lock waits).
-  SimDuration io_wait = 0;
-  // Counters for analysis.
-  uint64_t fs_calls = 0;
 };
 
 }  // namespace mufs

@@ -43,9 +43,7 @@ Task<void> JournalPolicy::SetupAllocation(Proc& proc, Inode& ip, BufRef data_buf
     // alloc-init keeps the conventional synchronous zero write.
     BlockDevice* driver = fs()->cache()->driver();
     uint64_t id = driver->IssueWrite(data_buf->blkno(), {fs()->cache()->ZeroBlock()});
-    SimTime t0 = fs()->engine()->Now();
     IoStatus init_status = co_await driver->WaitFor(id);
-    proc.io_wait += fs()->engine()->Now() - t0;
     if (init_status != IoStatus::kOk) {
       fs()->NoteIoError();  // Stale data may be visible through the new file.
     }

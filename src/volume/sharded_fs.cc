@@ -345,12 +345,6 @@ Task<FsStatus> ShardedFs::SyncEverything(Proc& proc) {
   co_return worst;
 }
 
-FsOpStats ShardedFs::op_stats() const {
-  // All shards share the machine's registry, so any shard's snapshot of
-  // the fs.* counters already covers the whole machine.
-  return shards_[0]->op_stats();
-}
-
 bool ShardedFs::io_degraded() const {
   for (FileSystem* fs : shards_) {
     if (fs->io_degraded()) {

@@ -63,7 +63,6 @@ class ShardedFs : public FsInterface {
   Task<FsStatus> Fsync(Proc& proc, uint32_t ino) override;
   Task<FsStatus> SyncEverything(Proc& proc) override;
 
-  FsOpStats op_stats() const override;
   bool io_degraded() const override;
   bool AnyDirtyInode() const override;
   void DropCleanInodes() override;

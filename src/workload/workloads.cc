@@ -97,26 +97,16 @@ Task<FsStatus> CopyTree(Machine& m, Proc& proc, const TreeSpec& tree,
 }
 
 Task<FsStatus> RemoveTree(Machine& m, Proc& proc, const TreeSpec& tree,
-                          const std::string& root, MetaOpLatency* lat) {
+                          const std::string& root) {
   for (const auto& f : tree.files) {
-    SimTime t0 = m.engine().Now();
     FsStatus s = co_await m.vfs().Unlink(proc, JoinPath(root, f.path));
-    if (lat != nullptr) {
-      ++lat->ops;
-      lat->total += m.engine().Now() - t0;
-    }
     if (s != FsStatus::kOk) {
       co_return s;
     }
   }
   // Children were appended after parents; remove in reverse order.
   for (auto it = tree.directories.rbegin(); it != tree.directories.rend(); ++it) {
-    SimTime t0 = m.engine().Now();
     FsStatus s = co_await m.vfs().Rmdir(proc, JoinPath(root, *it));
-    if (lat != nullptr) {
-      ++lat->ops;
-      lat->total += m.engine().Now() - t0;
-    }
     if (s != FsStatus::kOk) {
       co_return s;
     }
@@ -262,7 +252,7 @@ Task<AndrewTimes> AndrewBenchmark(Machine& m, Proc& proc, const TreeSpec& tree,
 // ---------------------------------------------------------------------
 
 Task<FsStatus> SdetScript(Machine& m, Proc& proc, const std::string& dir, uint64_t seed,
-                          int operations, MetaOpLatency* lat) {
+                          int operations) {
   Rng rng(seed);
   FsStatus s = co_await m.vfs().Mkdir(proc, dir);
   if (s != FsStatus::kOk && s != FsStatus::kExists) {
@@ -277,12 +267,7 @@ Task<FsStatus> SdetScript(Machine& m, Proc& proc, const std::string& dir, uint64
     if (r < 0.18 || files.empty()) {
       // Create a small file (an "edit session" output).
       std::string path = dir + "/f" + std::to_string(name_counter++);
-      SimTime t0 = m.engine().Now();
       Result<uint32_t> ino = co_await m.vfs().Create(proc, path);
-      if (lat != nullptr) {
-        ++lat->ops;
-        lat->total += m.engine().Now() - t0;
-      }
       if (ino.Ok()) {
         co_await WriteTagged(m, proc, ino.value(), 512 + rng.Next() % 8192);
         files.push_back(path);
@@ -306,12 +291,7 @@ Task<FsStatus> SdetScript(Machine& m, Proc& proc, const std::string& dir, uint64
     } else if (r < 0.63) {
       // Delete.
       size_t idx = rng.Next() % files.size();
-      SimTime t0 = m.engine().Now();
       FsStatus st = co_await m.vfs().Unlink(proc, files[idx]);
-      if (lat != nullptr) {
-        ++lat->ops;
-        lat->total += m.engine().Now() - t0;
-      }
       if (st == FsStatus::kOk) {
         files.erase(files.begin() + static_cast<ptrdiff_t>(idx));
       }
@@ -321,24 +301,14 @@ Task<FsStatus> SdetScript(Machine& m, Proc& proc, const std::string& dir, uint64
     } else if (r < 0.76) {
       // Mkdir.
       std::string sub = dir + "/sub" + std::to_string(name_counter++);
-      SimTime t0 = m.engine().Now();
       FsStatus st = co_await m.vfs().Mkdir(proc, sub);
-      if (lat != nullptr) {
-        ++lat->ops;
-        lat->total += m.engine().Now() - t0;
-      }
       if (st == FsStatus::kOk) {
         subdirs.push_back(sub);
       }
     } else if (r < 0.80 && !subdirs.empty()) {
       // Rmdir (may fail if non-empty; that is fine).
       size_t idx = rng.Next() % subdirs.size();
-      SimTime t0 = m.engine().Now();
       FsStatus st = co_await m.vfs().Rmdir(proc, subdirs[idx]);
-      if (lat != nullptr) {
-        ++lat->ops;
-        lat->total += m.engine().Now() - t0;
-      }
       if (st == FsStatus::kOk) {
         subdirs.erase(subdirs.begin() + static_cast<ptrdiff_t>(idx));
       }
@@ -346,12 +316,7 @@ Task<FsStatus> SdetScript(Machine& m, Proc& proc, const std::string& dir, uint64
       // Rename.
       size_t idx = rng.Next() % files.size();
       std::string to = dir + "/r" + std::to_string(name_counter++);
-      SimTime t0 = m.engine().Now();
       FsStatus st = co_await m.vfs().Rename(proc, files[idx], to);
-      if (lat != nullptr) {
-        ++lat->ops;
-        lat->total += m.engine().Now() - t0;
-      }
       if (st == FsStatus::kOk) {
         files[idx] = to;
       }
@@ -364,12 +329,7 @@ Task<FsStatus> SdetScript(Machine& m, Proc& proc, const std::string& dir, uint64
         (void)co_await m.vfs().ReadFile(proc, ino.value(), 0, buf);
         co_await m.cpu().Consume(proc.pid, Msec(80));
         std::string obj = dir + "/o" + std::to_string(name_counter++);
-        SimTime t0 = m.engine().Now();
         Result<uint32_t> oino = co_await m.vfs().Create(proc, obj);
-        if (lat != nullptr) {
-          ++lat->ops;
-          lat->total += m.engine().Now() - t0;
-        }
         if (oino.Ok()) {
           co_await WriteTagged(m, proc, oino.value(), 2048 + rng.Next() % 16384);
           files.push_back(obj);
@@ -870,7 +830,6 @@ RunMeasurement RunMultiUser(Machine& m, int num_users, const SetupFn& setup,
     auto& us = out.users[static_cast<size_t>(u)];
     us.elapsed = st.user_end[static_cast<size_t>(u)] - st.user_start[static_cast<size_t>(u)];
     us.cpu = m.cpu().Charged(procs[static_cast<size_t>(u)].pid) - cpu0[static_cast<size_t>(u)];
-    us.io_wait = procs[static_cast<size_t>(u)].io_wait;
     out.cpu_seconds_total += ToSeconds(us.cpu);
   }
   out.wall = t_users_done - t0;

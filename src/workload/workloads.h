@@ -33,24 +33,9 @@ Task<FsStatus> PopulateTree(Machine& m, Proc& proc, const TreeSpec& tree,
 Task<FsStatus> CopyTree(Machine& m, Proc& proc, const TreeSpec& tree,
                         const std::string& src_root, const std::string& dst_root);
 
-// Return-latency accounting for metadata MUTATIONS (create, unlink,
-// mkdir, rmdir, rename): the time from op issue to op return, which is
-// the contract the ordering schemes actually differ on (a scheme with
-// decoupled visibility/durability returns at cache speed; a synchronous
-// or commit-gated scheme blocks the caller). Reads and data writes are
-// not counted.
-struct MetaOpLatency {
-  uint64_t ops = 0;
-  SimDuration total = 0;
-  double AvgMs() const {
-    return ops > 0 ? ToSeconds(total) * 1000.0 / static_cast<double>(ops) : 0;
-  }
-};
-
 // Recursive remove of a populated tree (the N-user remove benchmark body).
-// `lat`, when set, accumulates the return latency of each Unlink/Rmdir.
 Task<FsStatus> RemoveTree(Machine& m, Proc& proc, const TreeSpec& tree,
-                          const std::string& root, MetaOpLatency* lat = nullptr);
+                          const std::string& root);
 
 // Figure 5 bodies: `count` 1 KB files in `dir` (which must exist).
 Task<FsStatus> CreateFiles(Machine& m, Proc& proc, const std::string& dir, int count,
@@ -73,10 +58,9 @@ Task<AndrewTimes> AndrewBenchmark(Machine& m, Proc& proc, const TreeSpec& tree,
                                   const std::string& src_root, const std::string& work_root);
 
 // One Sdet-like script: a randomized mix of software-development
-// operations in the script's private directory. `lat`, when set,
-// accumulates the return latency of the metadata mutations in the mix.
+// operations in the script's private directory.
 Task<FsStatus> SdetScript(Machine& m, Proc& proc, const std::string& dir, uint64_t seed,
-                          int operations = 200, MetaOpLatency* lat = nullptr);
+                          int operations = 200);
 
 // ---------------------------------------------------------------------
 // Workload personalities (adversarial fault / crash matrix)
@@ -145,7 +129,6 @@ Task<FsStatus> CacheCleanupWorkload(Machine& m, Proc& proc, const std::string& r
 struct UserStats {
   SimDuration elapsed = 0;
   SimDuration cpu = 0;
-  SimDuration io_wait = 0;
 };
 
 struct RunMeasurement {

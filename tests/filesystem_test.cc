@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -243,13 +244,13 @@ TEST_P(FsTest, UnlinkRemovesEntryAndFreesSpace) {
     CO_ASSERT_TRUE(ino.Ok());
     std::vector<uint8_t> data(3 * kBlockSize, 1);
     CO_ASSERT_TRUE((co_await m.fs().WriteFile(p, ino.value(), 0, data)).Ok());
-    uint64_t allocated = m.fs().op_stats().blocks_allocated;
+    uint64_t allocated = m.stats().counter("fs.blocks_allocated").value();
     CO_ASSERT_EQ(co_await m.fs().Unlink(p, "/victim"), FsStatus::kOk);
     EXPECT_EQ((co_await m.fs().Lookup(p, "/victim")).status(), FsStatus::kNotFound);
     // Deferred schemes free the blocks only after protecting writes land:
     // force everything out and verify the space came back.
     co_await m.fs().SyncEverything(p);
-    EXPECT_EQ(m.fs().op_stats().blocks_freed, 3u);
+    EXPECT_EQ(m.stats().counter("fs.blocks_freed").value(), 3u);
     EXPECT_GE(allocated, 3u);
   });
 }
@@ -361,7 +362,7 @@ TEST_P(FsTest, TruncateToZeroFreesBlocks) {
     CO_ASSERT_TRUE(st.Ok());
     EXPECT_EQ(st.value().size, 0u);
     co_await m.fs().SyncEverything(p);
-    EXPECT_EQ(m.fs().op_stats().blocks_freed, 5u);
+    EXPECT_EQ(m.stats().counter("fs.blocks_freed").value(), 5u);
     // Old contents are gone.
     std::vector<uint8_t> in(10);
     Result<uint64_t> r = co_await m.fs().ReadFile(p, ino.value(), 0, in);
@@ -391,7 +392,7 @@ TEST_P(FsTest, PartialTruncateKeepsPrefix) {
     EXPECT_EQ(past.value(), 0u);
     co_await m.fs().SyncEverything(p);
     // 18 data blocks + the indirect block freed.
-    EXPECT_EQ(m.fs().op_stats().blocks_freed, 19u);
+    EXPECT_EQ(m.stats().counter("fs.blocks_freed").value(), 19u);
   });
 }
 
@@ -405,7 +406,7 @@ TEST_P(FsTest, BlocksAreReusedAfterFree) {
     CO_ASSERT_TRUE((co_await m.fs().WriteFile(p, a.value(), 0, data)).Ok());
     CO_ASSERT_EQ(co_await m.fs().Unlink(p, "/a"), FsStatus::kOk);
     co_await m.fs().SyncEverything(p);  // Deferred frees complete.
-    uint64_t freed = m.fs().op_stats().blocks_freed;
+    uint64_t freed = m.stats().counter("fs.blocks_freed").value();
     EXPECT_EQ(freed, 4u);
     // New allocations succeed and round-trip.
     Result<uint32_t> b = co_await m.fs().Create(p, "/b");
@@ -558,6 +559,70 @@ TEST_P(FsTest, ConcurrentUsersInSeparateDirs) {
     ADD_FAILURE() << ToString(v.type) << ": " << v.detail;
   }
   EXPECT_EQ(report.files_seen, kUsers * 12u);
+}
+
+// Each namespace op records how long it blocked its caller into
+// fs.op.<name>.latency_ns, failed calls included; lookups and file I/O
+// record nothing there.
+TEST_P(FsTest, NamespaceOpsRecordCallerLatency) {
+  Machine m(Cfg());
+  Proc p = m.MakeProc("u");
+  RunOnMachine(m, p, [](Machine& m, Proc& p) -> Task<void> {
+    const char* const kOps[] = {"create", "mkdir", "rename", "unlink", "rmdir"};
+    std::map<std::string, std::pair<uint64_t, SimDuration>> caller;  // count, sum
+    auto timed = [&m, &caller](const char* op, SimTime t0) {
+      ++caller[op].first;
+      caller[op].second += m.engine().Now() - t0;
+    };
+    auto samples = [&m, &kOps] {
+      uint64_t n = 0;
+      for (const char* op : kOps) {
+        n += m.stats().histogram(std::string("fs.op.") + op + ".latency_ns").count();
+      }
+      return n;
+    };
+
+    SimTime t0 = m.engine().Now();
+    FsStatus st = co_await m.fs().Mkdir(p, "/d");
+    timed("mkdir", t0);
+    CO_ASSERT_EQ(st, FsStatus::kOk);
+    t0 = m.engine().Now();
+    Result<uint32_t> ino = co_await m.fs().Create(p, "/d/f");
+    timed("create", t0);
+    CO_ASSERT_TRUE(ino.Ok());
+    t0 = m.engine().Now();
+    Result<uint32_t> dup = co_await m.fs().Create(p, "/d/f");
+    timed("create", t0);
+    CO_ASSERT_EQ(dup.status(), FsStatus::kExists);
+
+    const uint64_t before_io = samples();
+    std::vector<uint8_t> data(2 * kBlockSize, 7);
+    CO_ASSERT_TRUE((co_await m.fs().WriteFile(p, ino.value(), 0, data)).Ok());
+    CO_ASSERT_TRUE((co_await m.fs().ReadFile(p, ino.value(), 0, data)).Ok());
+    CO_ASSERT_TRUE((co_await m.fs().Lookup(p, "/d/f")).Ok());
+    EXPECT_EQ(samples(), before_io);
+
+    t0 = m.engine().Now();
+    st = co_await m.fs().Rename(p, "/d/f", "/d/g");
+    timed("rename", t0);
+    CO_ASSERT_EQ(st, FsStatus::kOk);
+    t0 = m.engine().Now();
+    st = co_await m.fs().Unlink(p, "/d/g");
+    timed("unlink", t0);
+    CO_ASSERT_EQ(st, FsStatus::kOk);
+    t0 = m.engine().Now();
+    st = co_await m.fs().Rmdir(p, "/d");
+    timed("rmdir", t0);
+    CO_ASSERT_EQ(st, FsStatus::kOk);
+
+    for (const char* op : kOps) {
+      const LatencyHistogram& h =
+          m.stats().histogram(std::string("fs.op.") + op + ".latency_ns");
+      EXPECT_EQ(h.count(), caller[op].first) << op;
+      EXPECT_EQ(h.sum(), caller[op].second) << op;
+      EXPECT_GT(h.sum(), 0) << op;
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, FsTest,

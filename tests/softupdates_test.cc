@@ -117,17 +117,17 @@ TEST(SoftUpdatesTest, BlockFreeIsDeferredUntilInodeWrite) {
     (void)co_await mm.fs().WriteFile(p, ino.value(), 0, data);
     co_await mm.fs().SyncEverything(p);
 
-    uint64_t freed_before = mm.fs().op_stats().blocks_freed;
+    uint64_t freed_before = mm.stats().counter("fs.blocks_freed").value();
     (void)co_await mm.fs().Unlink(p, "/data");
     // The unlink returns with the bitmap untouched: the whole removal is
     // deferred (dirrem) until the cleared entry reaches stable storage,
     // and the block frees defer further until the reset inode does.
-    EXPECT_EQ(mm.fs().op_stats().blocks_freed, freed_before);
+    EXPECT_EQ(mm.stats().counter("fs.blocks_freed").value(), freed_before);
     EXPECT_GE(Policy(mm).stats().dir_rems, 1u);
 
     co_await mm.fs().SyncEverything(p);
     EXPECT_GE(Policy(mm).stats().deferred_frees, 1u);
-    EXPECT_EQ(mm.fs().op_stats().blocks_freed, freed_before + 3);
+    EXPECT_EQ(mm.stats().counter("fs.blocks_freed").value(), freed_before + 3);
   });
 }
 

@@ -248,6 +248,29 @@ TEST(MultiDiskTest, FineStripingSplitsSpanningWrites) {
   EXPECT_GT(m.stats().counter("disk1.busy_ns").value(), 0u);
 }
 
+// A directory op is broadcast to every shard, and each shard's
+// FileSystem records its own call, as it counts fs.mkdirs.
+TEST(MultiDiskTest, MkdirRecordsOneLatencySamplePerShard) {
+  MachineConfig cfg;
+  cfg.scheme = Scheme::kConventional;
+  cfg.disks = 2;
+  Machine m(cfg);
+  ASSERT_EQ(m.NumShards(), 2u);
+  Proc p = m.MakeProc("u");
+  bool done = false;
+  auto mkdir = [](Machine* m, Proc* p, bool* done) -> Task<void> {
+    co_await m->Boot(*p);
+    FsStatus s = co_await m->vfs().Mkdir(*p, "/d");
+    EXPECT_EQ(s, FsStatus::kOk);
+    *done = true;
+  };
+  m.engine().Spawn(mkdir(&m, &p, &done), "w");
+  m.engine().RunUntil([&] { return done; });
+  ASSERT_TRUE(done);
+  EXPECT_EQ(m.stats().histogram("fs.op.mkdir.latency_ns").count(), 2u);
+  EXPECT_EQ(m.stats().counter("fs.mkdirs").value(), 2u);
+}
+
 // --- volume ordering gate -------------------------------------------
 
 MachineConfig GateConfig(Scheme scheme, FlagSemantics semantics = FlagSemantics::kPart,
