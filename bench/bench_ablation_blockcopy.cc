@@ -34,7 +34,7 @@ int Main(const BenchArgs& args) {
       sidecar.Append(std::string("copy/") + (cb ? "cb" : "nocb"), meas.stats_json);
       printf("%-12s %-8s %12.1f %12llu %16llu\n", "copy", cb ? "yes" : "no",
              meas.ElapsedAvgSeconds(), static_cast<unsigned long long>(meas.disk_requests),
-             static_cast<unsigned long long>(m.cache().stats().write_lock_waits));
+             static_cast<unsigned long long>(m.stats().counter("cache.write_lock_waits").value()));
       (cb ? copy_on : copy_off) = meas.ElapsedAvgSeconds();
     }
     {

@@ -43,7 +43,7 @@ int Main(const BenchArgs& args) {
     sidecar.Append(v.name, meas.stats_json);
     printf("%-12s %12.1f %10.1f %20.1f %16llu\n", v.name, meas.ElapsedAvgSeconds(),
            meas.cpu_seconds_total, meas.avg_response_ms,
-           static_cast<unsigned long long>(m.cache().stats().write_lock_waits));
+           static_cast<unsigned long long>(m.stats().counter("cache.write_lock_waits").value()));
   }
   PrintRule(86);
   printf("Expected shape (paper fig 3): Part-NR/CB clearly fastest; omitting either\n");

@@ -44,7 +44,7 @@ int Main(const BenchArgs& args) {
     sidecar.Append(v.name, meas.stats_json);
     printf("%-12s %12.2f %10.2f %20.1f %16llu\n", v.name, meas.ElapsedAvgSeconds(),
            meas.cpu_seconds_total, meas.avg_response_ms,
-           static_cast<unsigned long long>(m.cache().stats().write_lock_waits));
+           static_cast<unsigned long long>(m.stats().counter("cache.write_lock_waits").value()));
   }
   PrintRule(86);
   printf("Expected shape (paper fig 4): same trend as fig 3 but more extreme;\n");

@@ -134,9 +134,9 @@ int main(int argc, char** argv) {
          reads ? read_access / static_cast<double>(reads) : 0, writes,
          writes ? write_access / static_cast<double>(writes) : 0);
   printf("cache: %llu hits, %llu misses, %llu delayed writes, %llu write issues\n",
-         static_cast<unsigned long long>(m.cache().stats().hits),
-         static_cast<unsigned long long>(m.cache().stats().misses),
-         static_cast<unsigned long long>(m.cache().stats().delayed_writes),
-         static_cast<unsigned long long>(m.cache().stats().write_issues));
+         static_cast<unsigned long long>(m.stats().counter("cache.hits").value()),
+         static_cast<unsigned long long>(m.stats().counter("cache.misses").value()),
+         static_cast<unsigned long long>(m.stats().counter("cache.delayed_writes").value()),
+         static_cast<unsigned long long>(m.stats().counter("cache.write_issues").value()));
   return 0;
 }

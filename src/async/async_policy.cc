@@ -85,7 +85,7 @@ Task<void> AsyncPolicy::FlushAll(Proc& proc) {
   // flush; the deferred releases still have to land before the drain
   // below can leave the image clean.
   co_await ledger_->DrainDeferred();
-  co_await DrainAllDirty(proc);
+  co_await OrderingPolicy::FlushAll(proc);
   ledger_->MarkDurableThrough(horizon);
 }
 

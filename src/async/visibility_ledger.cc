@@ -6,19 +6,18 @@
 
 namespace mufs {
 
-VisibilityLedger::VisibilityLedger(Engine* engine, AsyncConfig config)
-    : engine_(engine), config_(config), durable_cv_(engine), stats_(config.stats) {
-  if (stats_ != nullptr) {
-    stat_ops_ = &stats_->counter("async.ops_visible");
-    stat_epochs_ = &stats_->counter("async.epochs");
-    stat_barriers_ = &stats_->counter("async.barriers");
-    stat_barrier_stalls_ = &stats_->counter("async.barrier_stalls");
-    stat_op_stalls_ = &stats_->counter("async.op_stalls");
-    stat_depth_ = &stats_->gauge("async.visible_not_durable");
-    stat_lag_ = &stats_->histogram("async.horizon_lag_ns");
-    stat_barrier_wait_ = &stats_->histogram("async.barrier_wait_ns");
-  }
-}
+VisibilityLedger::VisibilityLedger(Engine* engine, StatsRegistry* stats, AsyncConfig config)
+    : engine_(engine),
+      config_(config),
+      durable_cv_(engine),
+      stat_ops_(&stats->counter("async.ops_visible")),
+      stat_epochs_(&stats->counter("async.epochs")),
+      stat_barriers_(&stats->counter("async.barriers")),
+      stat_barrier_stalls_(&stats->counter("async.barrier_stalls")),
+      stat_op_stalls_(&stats->counter("async.op_stalls")),
+      stat_depth_(&stats->gauge("async.visible_not_durable")),
+      stat_lag_(&stats->histogram("async.horizon_lag_ns")),
+      stat_barrier_wait_(&stats->histogram("async.barrier_wait_ns")) {}
 
 SimDuration VisibilityLedger::EffectiveFlushInterval(const AsyncConfig& config) {
   if (config.flush_interval > 0) {
@@ -46,10 +45,8 @@ void VisibilityLedger::Stop() {
 uint64_t VisibilityLedger::NoteVisible() {
   uint64_t seq = ++visible_seq_;
   pending_.push_back({seq, engine_->Now()});
-  if (stats_ != nullptr) {
-    stat_ops_->Inc();
-    stat_depth_->Set(static_cast<int64_t>(pending_.size()));
-  }
+  stat_ops_->Inc();
+  stat_depth_->Set(static_cast<int64_t>(pending_.size()));
   return seq;
 }
 
@@ -60,16 +57,14 @@ Task<void> VisibilityLedger::AdmitOp() {
     stalled = true;
     co_await durable_cv_.Await();
   }
-  if (stalled && stats_ != nullptr) {
+  if (stalled) {
     stat_op_stalls_->Inc();
   }
 }
 
 Task<void> VisibilityLedger::Barrier() {
   uint64_t horizon = visible_seq_;
-  if (stats_ != nullptr) {
-    stat_barriers_->Inc();
-  }
+  stat_barriers_->Inc();
   SimTime t0 = engine_->Now();
   bool waited = false;
   while (durable_seq_ < horizon) {
@@ -80,11 +75,9 @@ Task<void> VisibilityLedger::Barrier() {
       co_await durable_cv_.Await();
     }
   }
-  if (stats_ != nullptr) {
-    stat_barrier_wait_->Record(engine_->Now() - t0);
-    if (waited) {
-      stat_barrier_stalls_->Inc();
-    }
+  stat_barrier_wait_->Record(engine_->Now() - t0);
+  if (waited) {
+    stat_barrier_stalls_->Inc();
   }
 }
 
@@ -95,14 +88,10 @@ void VisibilityLedger::MarkDurableThrough(uint64_t seq) {
   durable_seq_ = seq;
   SimTime now = engine_->Now();
   while (!pending_.empty() && pending_.front().seq <= seq) {
-    if (stats_ != nullptr) {
-      stat_lag_->Record(now - pending_.front().completed);
-    }
+    stat_lag_->Record(now - pending_.front().completed);
     pending_.pop_front();
   }
-  if (stats_ != nullptr) {
-    stat_depth_->Set(static_cast<int64_t>(pending_.size()));
-  }
+  stat_depth_->Set(static_cast<int64_t>(pending_.size()));
   durable_cv_.NotifyAll();
 }
 
@@ -140,9 +129,7 @@ Task<void> VisibilityLedger::FlushEpoch() {
     co_await fs_->cache()->SyncVisibleThrough(close);
   }
   flushing_ = false;
-  if (stats_ != nullptr) {
-    stat_epochs_->Inc();
-  }
+  stat_epochs_->Inc();
   MarkDurableThrough(close);
 }
 

@@ -52,13 +52,13 @@ struct AsyncConfig {
   // First flush is delayed by this much extra (shard stagger, like
   // SyncerConfig::initial_phase).
   SimDuration initial_phase = 0;
-  // Shared metrics registry; null skips all accounting (bare unit tests).
-  StatsRegistry* stats = nullptr;
 };
 
 class VisibilityLedger {
  public:
-  VisibilityLedger(Engine* engine, AsyncConfig config);
+  // The ledger counts into `stats` (the Machine's registry) under the
+  // async.* names.
+  VisibilityLedger(Engine* engine, StatsRegistry* stats, AsyncConfig config);
   VisibilityLedger(const VisibilityLedger&) = delete;
   VisibilityLedger& operator=(const VisibilityLedger&) = delete;
 
@@ -73,7 +73,6 @@ class VisibilityLedger {
   // Effective epoch cadence (resolves the flush_interval = 0 default).
   static SimDuration EffectiveFlushInterval(const AsyncConfig& config);
   SimDuration FlushInterval() const { return EffectiveFlushInterval(config_); }
-  SimDuration StalenessWindow() const { return config_.staleness_window; }
 
   // Called at op completion: the op's updates are all visible in the
   // cache. Returns the op's sequence number - its durability horizon.
@@ -99,7 +98,6 @@ class VisibilityLedger {
   // the release entirely, and a crash before the flush leaves only an
   // orphan that repair reclaims.
   void Defer(std::function<Task<void>()> work) { deferred_.push_back(std::move(work)); }
-  size_t DeferredCount() const { return deferred_.size(); }
   // Runs the deferred queue to quiescence. Epoch flushes do this
   // automatically; unmount calls it directly because a barrier that finds
   // the horizon already durable skips the epoch flush entirely.
@@ -107,8 +105,6 @@ class VisibilityLedger {
 
   uint64_t visible_seq() const { return visible_seq_; }
   uint64_t durable_seq() const { return durable_seq_; }
-  // Ops whose updates are visible but not yet known durable.
-  size_t VisibleNotDurable() const { return pending_.size(); }
 
  private:
   struct PendingOp {
@@ -135,15 +131,14 @@ class VisibilityLedger {
   std::deque<std::function<Task<void>()>> deferred_;  // Epoch-time cleanup.
   CondVar durable_cv_;  // Notified whenever durable_seq_ advances.
 
-  StatsRegistry* stats_;
-  Counter* stat_ops_ = nullptr;
-  Counter* stat_epochs_ = nullptr;
-  Counter* stat_barriers_ = nullptr;
-  Counter* stat_barrier_stalls_ = nullptr;
-  Counter* stat_op_stalls_ = nullptr;
-  Gauge* stat_depth_ = nullptr;
-  LatencyHistogram* stat_lag_ = nullptr;
-  LatencyHistogram* stat_barrier_wait_ = nullptr;
+  Counter* stat_ops_;
+  Counter* stat_epochs_;
+  Counter* stat_barriers_;
+  Counter* stat_barrier_stalls_;
+  Counter* stat_op_stalls_;
+  Gauge* stat_depth_;  // Ops whose updates are visible but not yet durable.
+  LatencyHistogram* stat_lag_;
+  LatencyHistogram* stat_barrier_wait_;
 };
 
 }  // namespace mufs

@@ -5,21 +5,16 @@
 
 namespace mufs {
 
-BufferCache::BufferCache(Engine* engine, BlockDevice* driver, CacheConfig config)
+BufferCache::BufferCache(Engine* engine, BlockDevice* driver, StatsRegistry* stats,
+                         CacheConfig config)
     : engine_(engine),
       driver_(driver),
       config_(config),
+      stats_(stats),
       zero_block_(std::make_shared<BlockData>()),
       capacity_cv_(engine) {
   zero_block_->fill(0);
   hooks_ = &default_hooks_;
-  if (config_.stats != nullptr) {
-    stats_ = config_.stats;
-  } else {
-    owned_stats_ = std::make_unique<StatsRegistry>();
-    owned_stats_->SetClock([engine] { return engine->Now(); });
-    stats_ = owned_stats_.get();
-  }
   stat_hits_ = &stats_->counter("cache.hits");
   stat_misses_ = &stats_->counter("cache.misses");
   stat_delayed_writes_ = &stats_->counter("cache.delayed_writes");
@@ -33,22 +28,6 @@ BufferCache::BufferCache(Engine* engine, BlockDevice* driver, CacheConfig config
   stat_write_failures_ = &stats_->counter("cache.write_failures");
   stat_dirty_ = &stats_->gauge("cache.dirty_blocks");
   stat_copies_out_ = &stats_->gauge("cache.outstanding_copies");
-}
-
-CacheStats BufferCache::stats() const {
-  CacheStats s;
-  s.hits = stat_hits_->value();
-  s.misses = stat_misses_->value();
-  s.delayed_writes = stat_delayed_writes_->value();
-  s.write_issues = stat_write_issues_->value();
-  s.sync_writes = stat_sync_writes_->value();
-  s.write_lock_waits = stat_write_lock_waits_->value();
-  s.block_copies = stat_block_copies_->value();
-  s.copy_budget_waits = stat_copy_budget_waits_->value();
-  s.evictions = stat_evictions_->value();
-  s.read_failures = stat_read_failures_->value();
-  s.write_failures = stat_write_failures_->value();
-  return s;
 }
 
 void BufferCache::Touch(Buf& buf) {
@@ -323,33 +302,10 @@ Task<void> BufferCache::WaitForCopyBudget() {
   }
 }
 
-Task<void> BufferCache::SyncAll() {
-  // Repeat until stable: completion processing (soft updates) can re-dirty
-  // buffers or create new dirty ones (deferred frees).
-  for (int round = 0; round < 200; ++round) {
-    std::vector<BufRef> dirty;
-    for (auto& [blkno, buf] : buffers_) {
-      if (buf->dirty_ && !buf->write_failed_ && !buf->io_locked_ &&
-          buf->writes_in_flight_ == 0) {
-        dirty.push_back(buf);
-      }
-    }
-    if (dirty.empty() && driver_->PendingCount() == 0) {
-      co_return;
-    }
-    for (auto& buf : dirty) {
-      if (buf->dirty_ && !buf->write_failed_ && !buf->io_locked_ &&
-          buf->writes_in_flight_ == 0) {
-        IssueWrite(buf, OrderingTag{}, false);
-      }
-    }
-    co_await driver_->Drain();
-  }
-}
-
 Task<void> BufferCache::SyncVisibleThrough(uint64_t seq) {
-  // Same stable-loop as SyncAll; deferred releases run between rounds can
-  // dirty more epoch-covered buffers.
+  // Repeat until stable: completion processing (soft updates) can re-dirty
+  // buffers or create new dirty ones (deferred frees), and deferred
+  // releases run between rounds can dirty more epoch-covered buffers.
   for (int round = 0; round < 200; ++round) {
     std::vector<BufRef> dirty;
     for (auto& [blkno, buf] : buffers_) {

@@ -147,30 +147,16 @@ struct CacheConfig {
   // writers stall (the paper's "system activity exceeds the available
   // memory" regime, section 3.1/3.3).
   size_t copy_budget_blocks = 2048;
-  // Shared metrics registry (the Machine's). When null the cache owns a
-  // private registry, so standalone construction needs no guards.
-  StatsRegistry* stats = nullptr;
-};
-
-// Snapshot of the cache.* registry counters (kept as a struct so call
-// sites read fields instead of metric names).
-struct CacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t delayed_writes = 0;   // MarkDirty calls.
-  uint64_t write_issues = 0;     // Device writes issued (sync+async+syncer).
-  uint64_t sync_writes = 0;
-  uint64_t write_lock_waits = 0;  // Times BeginUpdate had to wait.
-  uint64_t block_copies = 0;      // -CB clones made.
-  uint64_t copy_budget_waits = 0;  // Times Bawrite stalled on copy memory.
-  uint64_t evictions = 0;
-  uint64_t read_failures = 0;   // Fill reads that failed terminally.
-  uint64_t write_failures = 0;  // Writes that failed terminally.
 };
 
 class BufferCache {
  public:
-  BufferCache(Engine* engine, BlockDevice* driver, CacheConfig config);
+  // The cache counts into `stats` (the Machine's registry) under the
+  // cache.* names: hits, misses, delayed_writes (MarkDirty calls),
+  // write_issues (device writes issued: sync, async and syncer),
+  // sync_writes, write_lock_waits, block_copies (-CB clones),
+  // copy_budget_waits, evictions, read_failures and write_failures.
+  BufferCache(Engine* engine, BlockDevice* driver, StatsRegistry* stats, CacheConfig config);
   BufferCache(const BufferCache&) = delete;
   BufferCache& operator=(const BufferCache&) = delete;
 
@@ -178,8 +164,7 @@ class BufferCache {
   Engine* engine() const { return engine_; }
   BlockDevice* driver() const { return driver_; }
   const CacheConfig& config() const { return config_; }
-  CacheStats stats() const;  // Snapshot of the cache.* counters.
-  StatsRegistry* stats_registry() const { return stats_; }
+  StatsRegistry* stats() const { return stats_; }
 
   // Returns the block, reading it from disk on a miss. Returns nullptr
   // if the device read failed terminally (the placeholder is dropped, so
@@ -236,7 +221,7 @@ class BufferCache {
 
   // Writes every dirty buffer (async) and waits for the device queue to
   // drain. Used by unmount/fsync-like paths and test shutdown.
-  Task<void> SyncAll();
+  Task<void> SyncAll() { return SyncVisibleThrough(UINT64_MAX); }
 
   // Epoch-scoped flush (Scheme::kAsync): like SyncAll, but skips dirty
   // buffers whose first visibility stamp is newer than `seq` - those were
@@ -258,7 +243,6 @@ class BufferCache {
   // Dirty buffers whose last write failed terminally.
   size_t FailedCount() const;
   size_t CachedCount() const { return buffers_.size(); }
-  bool Cached(uint32_t blkno) const { return buffers_.contains(blkno); }
 
   // A permanently zero-filled block, reserved at "boot" exactly like the
   // paper's allocation-initialization source (section 3.3): initializing
@@ -288,9 +272,7 @@ class BufferCache {
   CacheConfig config_;
   DepHooks* hooks_ = nullptr;
 
-  // Metrics (either the Machine's registry or owned_stats_).
-  std::unique_ptr<StatsRegistry> owned_stats_;
-  StatsRegistry* stats_ = nullptr;
+  StatsRegistry* stats_;
   Counter* stat_hits_ = nullptr;
   Counter* stat_misses_ = nullptr;
   Counter* stat_delayed_writes_ = nullptr;
@@ -310,7 +292,6 @@ class BufferCache {
   std::map<uint64_t, Buf*> lru_;  // tick -> buffer, oldest first.
   uint64_t next_tick_ = 1;
   uint32_t syncer_cursor_ = 0;  // Block-number window cursor for passes.
-  std::vector<uint32_t> syncer_window_;
   std::shared_ptr<BlockData> zero_block_;
   size_t outstanding_copies_ = 0;
   CondVar capacity_cv_;

@@ -3,8 +3,7 @@
 namespace mufs {
 
 SyncerDaemon::SyncerDaemon(Engine* engine, BufferCache* cache, SyncerConfig config)
-    : engine_(engine), cache_(cache), config_(config) {
-  stats_ = config_.stats != nullptr ? config_.stats : cache_->stats_registry();
+    : engine_(engine), cache_(cache), config_(config), stats_(cache->stats()) {
   stat_passes_ = &stats_->counter("syncer.passes");
   stat_workitems_ = &stats_->counter("syncer.workitems");
 }

@@ -27,8 +27,6 @@ struct SyncerConfig {
   // interval*s/S) so S write-back bursts do not land on the volume at
   // the same instant. 0 (the default) is the exact historical cadence.
   SimDuration initial_phase = 0;
-  // Shared metrics registry; falls back to the cache's when null.
-  StatsRegistry* stats = nullptr;
 };
 
 class SyncerDaemon {
@@ -61,7 +59,7 @@ class SyncerDaemon {
   Engine* engine_;
   BufferCache* cache_;
   SyncerConfig config_;
-  StatsRegistry* stats_ = nullptr;
+  StatsRegistry* stats_;  // The cache's registry.
   Counter* stat_passes_ = nullptr;
   Counter* stat_workitems_ = nullptr;
   bool running_ = false;

@@ -70,20 +70,17 @@ OrderingRules MakeOrderingRules(const MachineConfig& cfg) {
   return rules;
 }
 
-DriverConfig MakeDriverConfig(const MachineConfig& cfg, StatsRegistry* stats,
-                              FaultInjector* faults) {
+DriverConfig MakeDriverConfig(const MachineConfig& cfg, FaultInjector* faults) {
   DriverConfig d;
   d.ordering = MakeOrderingRules(cfg);
-  d.stats = stats;
   d.faults = faults;
   d.queue_depth = cfg.queue_depth;
   return d;
 }
 
-CacheConfig MakeCacheConfig(const MachineConfig& cfg, StatsRegistry* stats) {
+CacheConfig MakeCacheConfig(const MachineConfig& cfg) {
   CacheConfig c;
   c.capacity_blocks = cfg.cache_capacity_blocks;
-  c.stats = stats;
   // -CB only matters for schemes that issue ordered async writes while
   // processes keep updating the metadata. The async scheme's epoch
   // flusher writes hot buffers on a sub-second cadence, so it copies at
@@ -160,7 +157,7 @@ Machine::Machine(MachineConfig config) : config_(config) {
       faults_.back()->AttachStats(stats_.get(), instance);
       fi = faults_.back().get();
     }
-    DriverConfig dcfg = MakeDriverConfig(config_, stats_.get(), fi);
+    DriverConfig dcfg = MakeDriverConfig(config_, fi);
     if (multi) {
       dcfg.instance = instance;
       // The volume gate owns the scheme's ordering; member disks run free.
@@ -171,8 +168,8 @@ Machine::Machine(MachineConfig config) : config_(config) {
         return layout.ToVolume(static_cast<uint32_t>(d), local);
       };
     }
-    drivers_.push_back(std::make_unique<DiskDriver>(engine_.get(), model.get(),
-                                                    image_.get(), dcfg));
+    drivers_.push_back(std::make_unique<DiskDriver>(engine_.get(), model.get(), image_.get(),
+                                                    stats_.get(), dcfg));
     models_.push_back(std::move(model));
   }
 
@@ -180,12 +177,12 @@ Machine::Machine(MachineConfig config) : config_(config) {
     VolumeConfig vcfg;
     vcfg.layout = layout;
     vcfg.ordering = MakeOrderingRules(config_);
-    vcfg.stats = stats_.get();
     std::vector<DiskDriver*> members;
     for (auto& drv : drivers_) {
       members.push_back(drv.get());
     }
-    volume_ = std::make_unique<StripedVolume>(engine_.get(), std::move(members), vcfg);
+    volume_ =
+        std::make_unique<StripedVolume>(engine_.get(), std::move(members), stats_.get(), vcfg);
   }
 
   // --- per-shard stacks: device view + cache + syncer + fs (+ journal) -
@@ -197,7 +194,6 @@ Machine::Machine(MachineConfig config) : config_(config) {
   // it there costs only 3.8%).
   fs_cfg.alloc_init = config_.alloc_init;
   fs_cfg.costs = config_.cpu_costs;
-  fs_cfg.stats = stats_.get();
 
   for (size_t s = 0; s < nshards; ++s) {
     BlockDevice* dev;
@@ -208,10 +204,9 @@ Machine::Machine(MachineConfig config) : config_(config) {
     } else {
       dev = drivers_[0].get();
     }
-    caches_.push_back(std::make_unique<BufferCache>(engine_.get(), dev,
-                                                    MakeCacheConfig(config_, stats_.get())));
+    caches_.push_back(std::make_unique<BufferCache>(engine_.get(), dev, stats_.get(),
+                                                    MakeCacheConfig(config_)));
     SyncerConfig syncer_cfg = config_.syncer;
-    syncer_cfg.stats = stats_.get();
     // Stagger the shards' syncer cadences across the interval so S
     // write-back bursts do not land on the volume at the same instant.
     syncer_cfg.initial_phase =
@@ -249,12 +244,11 @@ Machine::Machine(MachineConfig config) : config_(config) {
       AsyncConfig acfg;
       acfg.staleness_window = config_.async_staleness_window;
       acfg.flush_interval = config_.async_flush_interval;
-      acfg.stats = stats_.get();
       // Stagger the shards' epoch flushes across the cadence, like the
       // syncers, so S flush bursts do not land on the volume at once.
       acfg.initial_phase = VisibilityLedger::EffectiveFlushInterval(acfg) *
                            static_cast<SimDuration>(s) / static_cast<SimDuration>(nshards);
-      ledgers_.push_back(std::make_unique<VisibilityLedger>(engine_.get(), acfg));
+      ledgers_.push_back(std::make_unique<VisibilityLedger>(engine_.get(), stats_.get(), acfg));
       ledgers_.back()->AttachFs(fss_.back().get());
     }
     policies_.push_back(

@@ -16,9 +16,6 @@ void OrderingPolicy::Attach(FileSystem* fs) {
 }
 
 void OrderingPolicy::NoteOrderingPoint(std::string_view point, std::string_view action) {
-  if (stats_ == nullptr) {
-    return;  // Never attached (unit tests poking a bare policy).
-  }
   stat_ordering_points_->Inc();
   std::string name = "policy.";
   name += point;
@@ -30,10 +27,10 @@ void OrderingPolicy::NoteOrderingPoint(std::string_view point, std::string_view 
 }
 
 // ---------------------------------------------------------------------
-// Shared drain loop
+// Default FlushAll: the shared drain loop
 // ---------------------------------------------------------------------
 
-Task<void> OrderingPolicy::DrainAllDirty(Proc& proc) {
+Task<void> OrderingPolicy::FlushAll(Proc& proc) {
   (void)proc;
   // Completion processing and workitems can generate new dirty state
   // (deferred frees dirty the bitmaps, redo re-dirties buffers), so
@@ -99,8 +96,6 @@ Task<void> NoOrderPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   NoteOrderingPoint("inode_free", "delayed");
   co_await fs()->FreeInodeInBitmap(proc, ip.ino);
 }
-
-Task<void> NoOrderPolicy::FlushAll(Proc& proc) { co_await DrainAllDirty(proc); }
 
 // ---------------------------------------------------------------------
 // Conventional (synchronous writes)
@@ -207,8 +202,6 @@ Task<void> ConventionalPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   co_await fs()->FreeInodeInBitmap(proc, ip.ino);
 }
 
-Task<void> ConventionalPolicy::FlushAll(Proc& proc) { co_await DrainAllDirty(proc); }
-
 // ---------------------------------------------------------------------
 // Scheduler flag
 //
@@ -298,8 +291,6 @@ Task<void> SchedulerFlagPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   }
   co_await fs()->FreeInodeInBitmap(proc, ip.ino);
 }
-
-Task<void> SchedulerFlagPolicy::FlushAll(Proc& proc) { co_await DrainAllDirty(proc); }
 
 // ---------------------------------------------------------------------
 // Scheduler chains
@@ -451,7 +442,5 @@ Task<void> SchedulerChainPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   }
   co_await fs()->FreeInodeInBitmap(proc, ip.ino);
 }
-
-Task<void> SchedulerChainPolicy::FlushAll(Proc& proc) { co_await DrainAllDirty(proc); }
 
 }  // namespace mufs

@@ -29,7 +29,6 @@ class NoOrderPolicy final : public OrderingPolicy {
                              DirEntry old_entry, uint32_t removed_ino,
                              const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
-  Task<void> FlushAll(Proc& proc) override;
 };
 
 // "Conventional": synchronous writes at every ordering point, as in the
@@ -48,7 +47,6 @@ class ConventionalPolicy final : public OrderingPolicy {
                              DirEntry old_entry, uint32_t removed_ino,
                              const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
-  Task<void> FlushAll(Proc& proc) override;
 };
 
 // "Scheduler Flag" (section 3.1): ordering-critical writes become
@@ -68,7 +66,6 @@ class SchedulerFlagPolicy final : public OrderingPolicy {
                              DirEntry old_entry, uint32_t removed_ino,
                              const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
-  Task<void> FlushAll(Proc& proc) override;
 };
 
 // "Scheduler Chains" (section 3.2): asynchronous writes carrying explicit
@@ -93,7 +90,6 @@ class SchedulerChainPolicy final : public OrderingPolicy {
                              DirEntry old_entry, uint32_t removed_ino,
                              const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
-  Task<void> FlushAll(Proc& proc) override;
 
  private:
   // Deps a fresh use of the resource must wait on, pruned lazily.

@@ -1,5 +1,6 @@
 #include "src/core/softupdates/soft_updates_policy.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
@@ -26,8 +27,6 @@ SoftUpdatesPolicy::SoftUpdatesPolicy() {
   hooks_ = std::make_unique<SoftDepHooks>(this);
   sys_proc_.pid = kSystemPid;
   sys_proc_.name = "softdep";
-  owned_stats_ = std::make_unique<StatsRegistry>();
-  BindStats(owned_stats_.get());
 }
 
 SoftUpdatesPolicy::~SoftUpdatesPolicy() = default;
@@ -36,32 +35,14 @@ DepHooks* SoftUpdatesPolicy::CacheHooks() { return hooks_.get(); }
 
 void SoftUpdatesPolicy::Attach(FileSystem* fs) {
   OrderingPolicy::Attach(fs);
-  BindStats(fs->stats());
-}
-
-void SoftUpdatesPolicy::BindStats(StatsRegistry* stats) {
-  su_stats_ = stats;
-  stat_alloc_deps_ = &stats->counter("su.alloc_deps");
-  stat_dir_adds_ = &stats->counter("su.dir_adds");
-  stat_dir_rems_ = &stats->counter("su.dir_rems");
-  stat_cancelled_pairs_ = &stats->counter("su.cancelled_pairs");
-  stat_undos_ = &stats->counter("su.undos");
-  stat_redos_ = &stats->counter("su.redos");
-  stat_deferred_frees_ = &stats->counter("su.deferred_frees");
-  stat_workitems_ = &stats->counter("su.workitems");
-}
-
-SoftUpdatesPolicy::Stats SoftUpdatesPolicy::stats() const {
-  Stats s;
-  s.alloc_deps = stat_alloc_deps_->value();
-  s.dir_adds = stat_dir_adds_->value();
-  s.dir_rems = stat_dir_rems_->value();
-  s.cancelled_pairs = stat_cancelled_pairs_->value();
-  s.undos = stat_undos_->value();
-  s.redos = stat_redos_->value();
-  s.deferred_frees = stat_deferred_frees_->value();
-  s.workitems = stat_workitems_->value();
-  return s;
+  stat_alloc_deps_ = &stats()->counter("su.alloc_deps");
+  stat_dir_adds_ = &stats()->counter("su.dir_adds");
+  stat_dir_rems_ = &stats()->counter("su.dir_rems");
+  stat_cancelled_pairs_ = &stats()->counter("su.cancelled_pairs");
+  stat_undos_ = &stats()->counter("su.undos");
+  stat_redos_ = &stats()->counter("su.redos");
+  stat_deferred_frees_ = &stats()->counter("su.deferred_frees");
+  stat_workitems_ = &stats()->counter("su.workitems");
 }
 
 SoftUpdatesPolicy::BlockDeps* SoftUpdatesPolicy::FindDeps(uint32_t blkno) {
@@ -220,10 +201,10 @@ Task<void> SoftUpdatesPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<
     DepsFor(c).frees.push_back(FreeRef{f});
   }
   stat_deferred_frees_->Inc();
-  if (su_stats_->tracing()) {
-    su_stats_->Trace("su.deferred_free",
-                     {{"kind", "blocks"}, {"n", f->blocks.size()},
-                      {"carriers", carriers.size()}});
+  if (stats()->tracing()) {
+    stats()->Trace("su.deferred_free", {{"kind", "blocks"},
+                                        {"n", f->blocks.size()},
+                                        {"carriers", carriers.size()}});
   }
   co_return;
 }
@@ -303,8 +284,8 @@ Task<void> SoftUpdatesPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
   f->remaining_carriers = 1;
   DepsFor(fs()->sb().ItableBlock(ip.ino)).frees.push_back(FreeRef{f});
   stat_deferred_frees_->Inc();
-  if (su_stats_->tracing()) {
-    su_stats_->Trace("su.deferred_free", {{"kind", "inode"}, {"ino", ip.ino}});
+  if (stats()->tracing()) {
+    stats()->Trace("su.deferred_free", {{"kind", "inode"}, {"ino", ip.ino}});
   }
   co_return;
 }
@@ -349,8 +330,8 @@ std::shared_ptr<const BlockData> SoftUpdatesPolicy::PrepareWrite(Buf& buf) {
       }
       ad->undone_in_flight = true;
       stat_undos_->Inc();
-      if (su_stats_->tracing()) {
-        su_stats_->Trace("su.rollback", {{"kind", "alloc"}, {"blkno", buf.blkno()}});
+      if (stats()->tracing()) {
+        stats()->Trace("su.rollback", {{"kind", "alloc"}, {"blkno", buf.blkno()}});
       }
     } else {
       ad->captured = true;
@@ -369,8 +350,8 @@ std::shared_ptr<const BlockData> SoftUpdatesPolicy::PrepareWrite(Buf& buf) {
       ad->undone_in_flight = true;
       buf.MarkRolledBack();
       stat_undos_->Inc();
-      if (su_stats_->tracing()) {
-        su_stats_->Trace("su.rollback", {{"kind", "dir_add"}, {"blkno", buf.blkno()}});
+      if (stats()->tracing()) {
+        stats()->Trace("su.rollback", {{"kind", "dir_add"}, {"blkno", buf.blkno()}});
       }
     } else {
       ad->captured = true;
@@ -382,8 +363,8 @@ std::shared_ptr<const BlockData> SoftUpdatesPolicy::PrepareWrite(Buf& buf) {
       rm->undone_in_flight = true;
       buf.MarkRolledBack();
       stat_undos_->Inc();
-      if (su_stats_->tracing()) {
-        su_stats_->Trace("su.rollback", {{"kind", "dir_rem"}, {"blkno", buf.blkno()}});
+      if (stats()->tracing()) {
+        stats()->Trace("su.rollback", {{"kind", "dir_rem"}, {"blkno", buf.blkno()}});
       }
     } else {
       rm->captured = true;
@@ -527,8 +508,8 @@ void SoftUpdatesPolicy::WriteDone(Buf& buf) {
       }
       ad->undone_in_flight = false;
       stat_redos_->Inc();
-      if (su_stats_->tracing()) {
-        su_stats_->Trace("su.redo", {{"kind", "alloc"}, {"blkno", buf.blkno()}});
+      if (stats()->tracing()) {
+        stats()->Trace("su.redo", {{"kind", "alloc"}, {"blkno", buf.blkno()}});
       }
       ++ad_it;
     } else if (ad->captured && ad->init_done) {
@@ -560,8 +541,8 @@ void SoftUpdatesPolicy::WriteDone(Buf& buf) {
       *buf.At<uint32_t>(ad->offset) = ad->new_ino;
       ad->undone_in_flight = false;
       stat_redos_->Inc();
-      if (su_stats_->tracing()) {
-        su_stats_->Trace("su.redo", {{"kind", "dir_add"}, {"blkno", buf.blkno()}});
+      if (stats()->tracing()) {
+        stats()->Trace("su.redo", {{"kind", "dir_add"}, {"blkno", buf.blkno()}});
       }
       ++ad_it;
     } else if (ad->captured) {
@@ -580,8 +561,8 @@ void SoftUpdatesPolicy::WriteDone(Buf& buf) {
       memset(buf.data().data() + rm->offset, 0, sizeof(DirEntry));
       rm->undone_in_flight = false;
       stat_redos_->Inc();
-      if (su_stats_->tracing()) {
-        su_stats_->Trace("su.redo", {{"kind", "dir_rem"}, {"blkno", buf.blkno()}});
+      if (stats()->tracing()) {
+        stats()->Trace("su.redo", {{"kind", "dir_rem"}, {"blkno", buf.blkno()}});
       }
       ++rm_it;
     } else if (rm->captured) {
@@ -669,6 +650,16 @@ void SoftUpdatesPolicy::BufferAccessed(Buf& buf) {
     }
   }
   for (auto& rm : bd->rems) {
+    // A later create may have reused the removed entry's slot. Its
+    // pending add, restored above, is then the in-memory truth there.
+    // (A rename-held removal's slot is never reused, see DirSlotBusy, so
+    // PrepareWrite's restore of an old entry cannot meet a new one.)
+    if (std::any_of(bd->adds.begin(), bd->adds.end(),
+                    [&rm](const std::unique_ptr<DirAddDep>& ad) {
+                      return ad->offset == rm->offset;
+                    })) {
+      continue;
+    }
     uint32_t* inop = buf.At<uint32_t>(rm->offset);
     if (*inop != 0) {
       *inop = 0;  // The removal is the in-memory truth.
@@ -678,7 +669,7 @@ void SoftUpdatesPolicy::BufferAccessed(Buf& buf) {
 
 Task<void> SoftUpdatesPolicy::FlushAll(Proc& proc) {
   for (int round = 0; round < 200; ++round) {
-    co_await DrainAllDirty(proc);
+    co_await OrderingPolicy::FlushAll(proc);
     if (!HasPendingDeps()) {
       co_return;
     }

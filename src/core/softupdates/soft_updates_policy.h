@@ -64,18 +64,6 @@ class SoftUpdatesPolicy final : public OrderingPolicy {
   Task<void> FlushAll(Proc& proc) override;
   bool DirSlotBusy(uint32_t blkno, uint32_t offset) const override;
 
-  // Introspection for tests and stats: snapshot of the su.* counters.
-  struct Stats {
-    uint64_t alloc_deps = 0;
-    uint64_t dir_adds = 0;
-    uint64_t dir_rems = 0;
-    uint64_t cancelled_pairs = 0;  // add+remove serviced with no disk writes.
-    uint64_t undos = 0;            // Updates rolled back during a write.
-    uint64_t redos = 0;
-    uint64_t deferred_frees = 0;
-    uint64_t workitems = 0;
-  };
-  Stats stats() const;
   bool HasPendingDeps() const;
 
  private:
@@ -173,24 +161,18 @@ class SoftUpdatesPolicy final : public OrderingPolicy {
   // complete when the block is finally freed.
   Task<void> CompleteDepsOwnedBy(uint32_t blkno);
 
-  // Binds the su.* metric handles to `stats` (the owned fallback at
-  // construction, the file system's registry at Attach).
-  void BindStats(StatsRegistry* stats);
-
   std::unordered_map<uint32_t, BlockDeps> deps_;
   std::unordered_map<uint32_t, AllocDep*> newblk_;  // data blkno -> dep.
   std::unordered_map<uint32_t, std::vector<DirAddDep*>> inode_waiters_;  // itable blk.
   std::unique_ptr<DepHooks> hooks_;
   Proc sys_proc_;
 
-  // Metric handles (su_stats_ is never null after construction).
-  std::unique_ptr<StatsRegistry> owned_stats_;
-  StatsRegistry* su_stats_ = nullptr;
+  // su.* metric handles into the file system's registry, bound at Attach.
   Counter* stat_alloc_deps_ = nullptr;
   Counter* stat_dir_adds_ = nullptr;
   Counter* stat_dir_rems_ = nullptr;
-  Counter* stat_cancelled_pairs_ = nullptr;
-  Counter* stat_undos_ = nullptr;
+  Counter* stat_cancelled_pairs_ = nullptr;  // Add+remove pairs that never hit disk.
+  Counter* stat_undos_ = nullptr;  // Updates rolled back during a write.
   Counter* stat_redos_ = nullptr;
   Counter* stat_deferred_frees_ = nullptr;
   Counter* stat_workitems_ = nullptr;

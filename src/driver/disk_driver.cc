@@ -22,11 +22,13 @@ std::unique_ptr<R> Detach(std::list<std::unique_ptr<R>>* from, R* r) {
 
 }  // namespace
 
-DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, DriverConfig config)
+DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, StatsRegistry* stats,
+                       DriverConfig config)
     : engine_(engine),
       model_(model),
       image_(image),
       config_(config),
+      stats_(stats),
       gate_(engine, config.ordering),
       work_available_(engine),
       queue_empty_(engine) {
@@ -38,13 +40,6 @@ DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, Drive
     // Lets the injector's damage ledger name the same misdirection
     // victims the media transfer will use.
     config_.faults->SetTotalBlocks(media_blocks_);
-  }
-  if (config_.stats != nullptr) {
-    stats_ = config_.stats;
-  } else {
-    owned_stats_ = std::make_unique<StatsRegistry>();
-    owned_stats_->SetClock([engine] { return engine->Now(); });
-    stats_ = owned_stats_.get();
   }
   const std::string& inst = config_.instance;
   stat_reads_ = &stats_->counter(InstanceMetricName(inst, "disk.reads"));
@@ -116,7 +111,6 @@ uint64_t DiskDriver::Enqueue(std::unique_ptr<Request> req, IoCallback isr) {
   if (isr) {
     req->isrs.push_back(std::move(isr));
   }
-  ++total_requests_;
   if (req->dir == IoDir::kWrite) {
     stat_writes_->Inc();
     stat_blocks_written_->Inc(req->count);
@@ -135,7 +129,6 @@ uint64_t DiskDriver::Enqueue(std::unique_ptr<Request> req, IoCallback isr) {
   }
 
   if (req->dir == IoDir::kWrite && TryMerge(req.get())) {
-    ++merged_requests_;
     stat_merges_->Inc();
     if (stats_->tracing()) {
       stats_->Trace(trace_names_.concat, {{"id", id}, {"blkno", queue_.back()->blkno},

@@ -54,9 +54,6 @@ struct DriverConfig {
   // tagged queueing: dispatch-until-full, device-side RPO picks, ordered
   // tags at scheme ordering boundaries.
   uint32_t queue_depth = 1;
-  // Shared metrics registry (the Machine's). When null the driver owns a
-  // private registry, so standalone construction needs no guards.
-  StatsRegistry* stats = nullptr;
 
   // --- error path ----------------------------------------------------
   // Optional fault source, consulted once per service attempt. With no
@@ -91,7 +88,10 @@ struct DriverConfig {
 
 class DiskDriver : public BlockDevice {
  public:
-  DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, DriverConfig config);
+  // The driver counts into `stats` (the Machine's registry) under the
+  // disk.* and driver.* names, instance-prefixed on multi-disk machines.
+  DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, StatsRegistry* stats,
+             DriverConfig config);
   DiskDriver(const DiskDriver&) = delete;
   DiskDriver& operator=(const DiskDriver&) = delete;
   ~DiskDriver() override;
@@ -130,12 +130,8 @@ class DiskDriver : public BlockDevice {
     return gate_.HasPendingWrite(blkno, count);
   }
 
-  // Issued requests, merged ones included.
-  uint64_t TotalRequests() const { return total_requests_; }
-  // Issued requests that were concatenated onto a queued request instead
-  // of becoming a device request of their own. They are also counted in
-  // TotalRequests().
-  uint64_t MergedRequests() const { return merged_requests_; }
+  // Issued requests, merged ones included: disk.reads + disk.writes.
+  uint64_t TotalRequests() const { return stat_reads_->value() + stat_writes_->value(); }
 
   const DriverConfig& config() const { return config_; }
   StatsRegistry* stats() const { return stats_; }
@@ -196,9 +192,7 @@ class DiskDriver : public BlockDevice {
   };
   TraceNames trace_names_;
 
-  // Metrics (either the Machine's registry or owned_stats_).
-  std::unique_ptr<StatsRegistry> owned_stats_;
-  StatsRegistry* stats_ = nullptr;
+  StatsRegistry* stats_;
   Counter* stat_reads_ = nullptr;
   Counter* stat_writes_ = nullptr;
   Counter* stat_blocks_read_ = nullptr;
@@ -238,9 +232,6 @@ class DiskDriver : public BlockDevice {
   CondVar queue_empty_;
   bool stopping_ = false;
   ProcessRef service_proc_;
-
-  uint64_t total_requests_ = 0;
-  uint64_t merged_requests_ = 0;
 };
 
 }  // namespace mufs

@@ -47,7 +47,6 @@ uint32_t FaultInjector::MisdirectVictim(uint32_t blkno, uint32_t count,
 }
 
 FaultKind FaultInjector::Decide(IoDir dir, uint32_t blkno, uint32_t count) {
-  ++decisions_;
   FaultKind kind = FaultKind::kNone;
   if (!scripted_.empty()) {
     kind = scripted_.front();

@@ -144,15 +144,12 @@ class FaultInjector {
   // so the image contents are untouched.
   void Remap(uint32_t blkno);
 
-  uint64_t DecisionCount() const { return decisions_; }
-
  private:
   FaultConfig config_;
   Rng rng_;
   std::deque<FaultKind> scripted_;
   std::unordered_set<uint32_t> bad_;
   std::vector<DamageRecord> damage_;
-  uint64_t decisions_ = 0;
   uint32_t total_blocks_ = 0;
 
   Counter* stat_injected_ = nullptr;

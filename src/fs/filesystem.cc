@@ -50,10 +50,10 @@ FileSystem::FileSystem(Engine* engine, Cpu* cpu, BufferCache* cache, SyncerDaemo
       cache_(cache),
       syncer_(syncer),
       config_(config),
-      alloc_lock_(engine) {
+      alloc_lock_(engine),
+      stats_(cache->stats()) {
   buffer_hooks_ = std::make_unique<FsBufferHooks>(this);
   cache_->SetDepHooks(buffer_hooks_.get());
-  stats_ = config_.stats != nullptr ? config_.stats : cache_->stats_registry();
   stat_creates_ = &stats_->counter("fs.creates");
   stat_removes_ = &stats_->counter("fs.removes");
   stat_mkdirs_ = &stats_->counter("fs.mkdirs");
@@ -75,8 +75,8 @@ FileSystem::FileSystem(Engine* engine, Cpu* cpu, BufferCache* cache, SyncerDaemo
 bool FileSystem::io_degraded() const {
   // Asynchronous write failures are noticed by the cache's completion
   // handler, not by any FS call site; fold them in here.
-  CacheStats cs = cache_->stats();
-  return io_degraded_ || cs.write_failures > 0 || cs.read_failures > 0;
+  return io_degraded_ || stats_->counter("cache.write_failures").value() > 0 ||
+         stats_->counter("cache.read_failures").value() > 0;
 }
 
 FileSystem::~FileSystem() = default;
@@ -240,16 +240,8 @@ void FileSystem::DropCleanInodes() {
 }
 
 void FileSystem::EvictInodesIfNeeded() {
-  if (inode_cache_.size() < config_.inode_cache_capacity) {
-    return;
-  }
-  for (auto it = inode_cache_.begin(); it != inode_cache_.end();) {
-    const InodeRef& ip = it->second;
-    if (ip.use_count() == 1 && !ip->dirty_ && ip->dep_pin == 0 && !ip->lock.Held()) {
-      it = inode_cache_.erase(it);
-    } else {
-      ++it;
-    }
+  if (inode_cache_.size() >= config_.inode_cache_capacity) {
+    DropCleanInodes();
   }
 }
 

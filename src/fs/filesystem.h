@@ -72,8 +72,6 @@ struct FsConfig {
   bool alloc_init = false;
   uint32_t inode_cache_capacity = 4096;
   FsCpuCosts costs;
-  // Shared metrics registry; falls back to the cache's when null.
-  StatsRegistry* stats = nullptr;
 };
 
 class FileSystem : public FsInterface {
@@ -245,9 +243,8 @@ class FileSystem : public FsInterface {
 
   std::unique_ptr<DepHooks> buffer_hooks_;
 
-  // Metric handles into stats_ (the Machine's registry or the cache's
-  // private fallback; never null after construction).
-  StatsRegistry* stats_ = nullptr;
+  // Metric handles into stats_, the cache's registry.
+  StatsRegistry* stats_;
   Counter* stat_creates_ = nullptr;
   Counter* stat_removes_ = nullptr;
   Counter* stat_mkdirs_ = nullptr;

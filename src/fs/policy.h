@@ -131,8 +131,10 @@ class OrderingPolicy {
   virtual Task<void> SetupInodeFree(Proc& proc, Inode& ip) = 0;
 
   // SYNCIO support: block until every change made by prior calls on this
-  // file is persistent (used by fsync and unmount).
-  virtual Task<void> FlushAll(Proc& proc) = 0;
+  // file is persistent (used by fsync and unmount). The default drains to
+  // quiescence: repeatedly flush dirty inodes, push all dirty buffers to
+  // disk, and run deferred work.
+  virtual Task<void> FlushAll(Proc& proc);
 
   // True when every metadata update is persistent before the hook that
   // made it returns (Conventional's synchronous writes). Cross-shard
@@ -179,10 +181,8 @@ class OrderingPolicy {
 
  protected:
   FileSystem* fs() const { return fs_; }
-
-  // Shared FlushAll implementation: repeatedly flush dirty inodes, push
-  // all dirty buffers to disk, and run deferred work until quiescent.
-  Task<void> DrainAllDirty(Proc& proc);
+  // The file system's registry.
+  StatsRegistry* stats() const { return stats_; }
 
   // Counts one ordering-point decision (counter "policy.ordering_points"
   // plus "policy.<point>") and, when tracing, records a

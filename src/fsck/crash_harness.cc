@@ -1,18 +1,92 @@
 #include "src/fsck/crash_harness.h"
 
+#include <memory>
+
 namespace mufs {
 
 namespace {
 
-struct RunState {
+// One run of a workload on a fresh machine. Heap-allocated so the
+// workload's coroutine can point at the proc and the done flag for as
+// long as the machine that runs it lives.
+struct HarnessRun {
+  explicit HarnessRun(const MachineConfig& config)
+      : m(config), base_writes(m.image().WriteCount()), proc(m.MakeProc("crash-user")) {}
+
+  // Device writes of the run. The format writes done at machine
+  // construction are not sweepable crash states (no workload has
+  // started), so write #1 is the first write of the run.
+  uint64_t Writes() { return m.image().WriteCount() - base_writes; }
+  SimTime Now() { return m.engine().Now(); }
+
+  Machine m;
+  const uint64_t base_writes;
+  Proc proc;
   bool done = false;
 };
 
-Task<void> WorkloadRoot(Machine* m, Proc* proc, const CrashHarness::Workload* workload,
-                        RunState* state) {
-  co_await m->Boot(*proc);
-  co_await (*workload)(*m, *proc);
-  state->done = true;
+Task<void> WorkloadRoot(HarnessRun* run, const CrashHarness::Workload* workload) {
+  co_await run->m.Boot(run->proc);
+  co_await (*workload)(run->m, run->proc);
+  run->done = true;
+}
+
+// The one path to a crash point: boots a fresh machine, spawns the
+// workload and runs the engine until `stop` holds. `torn_write` > 0 arms
+// that write of the run to land torn. Callers may run the machine on.
+std::unique_ptr<HarnessRun> RunTo(const MachineConfig& config,
+                                  const CrashHarness::Workload& workload,
+                                  const std::function<bool(HarnessRun&)>& stop,
+                                  uint64_t torn_write = 0) {
+  auto run = std::make_unique<HarnessRun>(config);
+  if (torn_write > 0) {
+    run->m.image().ArmTornWrite(run->base_writes + torn_write);
+  }
+  run->m.engine().Spawn(WorkloadRoot(run.get(), &workload), "crash-workload");
+  run->m.engine().RunUntil([&] { return stop(*run); });
+  return run;
+}
+
+// Runs until the Nth write of the run has committed (or landed torn).
+std::unique_ptr<HarnessRun> RunToWrite(const MachineConfig& config,
+                                       const CrashHarness::Workload& workload,
+                                       uint64_t write_count, bool torn = false) {
+  return RunTo(
+      config, workload, [write_count](HarnessRun& r) { return r.Writes() >= write_count; },
+      torn ? write_count : 0);
+}
+
+// Runs until `counter` reaches `threshold`, then walks `extra_writes`
+// device writes into the window the counter marks the start of. Both
+// legs give up at `deadline` of simulated time: the counter may never
+// get there, and the window may be shorter than the requested walk.
+std::unique_ptr<HarnessRun> RunToCounter(const MachineConfig& config,
+                                         const CrashHarness::Workload& workload,
+                                         const std::string& counter, uint64_t threshold,
+                                         uint64_t extra_writes, SimDuration deadline) {
+  Counter* c = nullptr;  // Bound once the machine's registry exists.
+  SimTime give_up = 0;
+  auto run = RunTo(config, workload, [&](HarnessRun& r) {
+    if (c == nullptr) {
+      c = &r.m.stats().counter(counter);
+      give_up = r.Now() + deadline;
+    }
+    return c->value() >= threshold || r.Now() >= give_up;
+  });
+  const uint64_t stop_at = run->Writes() + extra_writes;
+  run->m.engine().RunUntil([&] { return run->Writes() >= stop_at || run->Now() >= give_up; });
+  return run;
+}
+
+// Runs the workload to completion, then `settle` more simulated time so
+// the post-workload flushing windows count too.
+std::unique_ptr<HarnessRun> RunToSettled(const MachineConfig& config,
+                                         const CrashHarness::Workload& workload,
+                                         SimDuration settle) {
+  auto run = RunTo(config, workload, [](HarnessRun& r) { return r.done; });
+  const SimTime end = run->Now() + settle;
+  run->m.engine().RunUntil([&] { return run->Now() >= end; });
+  return run;
 }
 
 // Shared crash tail: snapshot stable storage, run the scheme's recovery
@@ -20,23 +94,23 @@ Task<void> WorkloadRoot(Machine* m, Proc* proc, const CrashHarness::Workload* wo
 // file system is replayed and checked in place in its own region of the
 // snapshot, in shard order; a single-disk machine is one shard covering
 // the whole image.
-CrashResult CrashAndCheck(Machine* m, const RunState& state, Scheme scheme,
-                          FsckOptions fsck_options) {
+CrashResult CrashAndCheck(HarnessRun& run, FsckOptions fsck_options) {
+  Machine& m = run.m;
   CrashResult result;
-  result.workload_finished = state.done;
-  result.events_run = m->engine().EventsProcessed();
-  result.crash_time = m->engine().Now();
-  result.torn_writes = m->image().TornWriteCount();
-  DiskImage snapshot = m->CrashNow();
-  if (scheme == Scheme::kJournaling) {
-    for (size_t s = 0; s < m->NumShards(); ++s) {
-      result.replay.Add(JournalRecovery(&snapshot, m->ShardBase(s)).Run());
+  result.workload_finished = run.done;
+  result.events_run = m.engine().EventsProcessed();
+  result.crash_time = m.engine().Now();
+  result.torn_writes = m.image().TornWriteCount();
+  DiskImage snapshot = m.CrashNow();
+  if (m.config().scheme == Scheme::kJournaling) {
+    for (size_t s = 0; s < m.NumShards(); ++s) {
+      result.replay.Add(JournalRecovery(&snapshot, m.ShardBase(s)).Run());
     }
   }
   ShardLayout layout;
-  layout.num_shards = static_cast<uint32_t>(m->NumShards());
-  layout.shard_blocks = m->ShardBlocks();
-  layout.ino_stride = m->InoStride();
+  layout.num_shards = static_cast<uint32_t>(m.NumShards());
+  layout.shard_blocks = m.ShardBlocks();
+  layout.ino_stride = m.InoStride();
   result.report = PfsckCheckSharded(snapshot, layout, fsck_options);
   return result;
 }
@@ -45,65 +119,26 @@ CrashResult CrashAndCheck(Machine* m, const RunState& state, Scheme scheme,
 
 CrashResult CrashHarness::RunAndCrash(const Workload& workload, uint64_t crash_after_events,
                                       FsckOptions fsck_options) {
-  Machine m(config_);
-  Proc proc = m.MakeProc("crash-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "crash-workload");
-
-  // Run until the crash point. If the workload finishes first, keep the
-  // world running (syncer flushing) until the event budget is spent or
-  // the system goes quiet.
-  m.engine().RunUntil([&] { return m.engine().EventsProcessed() >= crash_after_events; });
-  return CrashAndCheck(&m, state, config_.scheme, fsck_options);
+  // If the workload finishes first, keep the world running (syncer
+  // flushing) until the event budget is spent or the system goes quiet.
+  auto run = RunTo(config_, workload, [crash_after_events](HarnessRun& r) {
+    return r.m.engine().EventsProcessed() >= crash_after_events;
+  });
+  return CrashAndCheck(*run, fsck_options);
 }
 
 CrashResult CrashHarness::RunAndCrashAtWrite(const Workload& workload, uint64_t write_count,
                                              FsckOptions fsck_options) {
-  Machine m(config_);
-  // Write #1 is the first write of the RUN: format writes (done at
-  // machine construction, before any crash point is reachable) are not
-  // part of the sweepable space.
-  const uint64_t target = m.image().WriteCount() + write_count;
-  Proc proc = m.MakeProc("crash-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "crash-workload");
-  m.engine().RunUntil([&] { return m.image().WriteCount() >= target; });
-  return CrashAndCheck(&m, state, config_.scheme, fsck_options);
-}
-
-CrashResult CrashHarness::RunAndCrashAtWriteTorn(const Workload& workload,
-                                                 uint64_t write_count,
-                                                 FsckOptions fsck_options) {
-  Machine m(config_);
-  const uint64_t target = m.image().WriteCount() + write_count;
-  m.image().ArmTornWrite(target);
-  Proc proc = m.MakeProc("crash-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "crash-workload");
-  m.engine().RunUntil([&] { return m.image().WriteCount() >= target; });
-  return CrashAndCheck(&m, state, config_.scheme, fsck_options);
+  return CrashAndCheck(*RunToWrite(config_, workload, write_count), fsck_options);
 }
 
 DiskImage CrashHarness::CrashImageAtWrite(const Workload& workload, uint64_t write_count) {
-  Machine m(config_);
-  const uint64_t target = m.image().WriteCount() + write_count;
-  Proc proc = m.MakeProc("crash-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "crash-workload");
-  m.engine().RunUntil([&] { return m.image().WriteCount() >= target; });
-  return m.CrashNow();
+  return RunToWrite(config_, workload, write_count)->m.CrashNow();
 }
 
 DiskImage CrashHarness::CrashImageAtWriteTorn(const Workload& workload,
                                               uint64_t write_count) {
-  Machine m(config_);
-  const uint64_t target = m.image().WriteCount() + write_count;
-  m.image().ArmTornWrite(target);
-  Proc proc = m.MakeProc("crash-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "crash-workload");
-  m.engine().RunUntil([&] { return m.image().WriteCount() >= target; });
-  return m.CrashNow();
+  return RunToWrite(config_, workload, write_count, /*torn=*/true)->m.CrashNow();
 }
 
 CrashResult CrashHarness::RunAndCrashAtCounter(const Workload& workload,
@@ -111,39 +146,17 @@ CrashResult CrashHarness::RunAndCrashAtCounter(const Workload& workload,
                                                uint64_t threshold, uint64_t extra_writes,
                                                FsckOptions fsck_options,
                                                SimDuration deadline) {
-  Machine m(config_);
-  Proc proc = m.MakeProc("crash-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "crash-workload");
-  Counter& c = m.stats().counter(counter);
-  const SimTime give_up = m.engine().Now() + deadline;
-  m.engine().RunUntil(
-      [&] { return c.value() >= threshold || m.engine().Now() >= give_up; });
-  // Walk `extra_writes` device writes into the window the counter marks
-  // the start of (still bounded by the deadline: the window may be
-  // shorter than the requested walk).
-  const uint64_t stop_at = m.image().WriteCount() + extra_writes;
-  m.engine().RunUntil(
-      [&] { return m.image().WriteCount() >= stop_at || m.engine().Now() >= give_up; });
-  return CrashAndCheck(&m, state, config_.scheme, fsck_options);
+  return CrashAndCheck(
+      *RunToCounter(config_, workload, counter, threshold, extra_writes, deadline),
+      fsck_options);
 }
 
 DiskImage CrashHarness::CrashImageAtCounter(const Workload& workload,
                                             const std::string& counter,
                                             uint64_t threshold, uint64_t extra_writes,
                                             SimDuration deadline) {
-  Machine m(config_);
-  Proc proc = m.MakeProc("crash-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "crash-workload");
-  Counter& c = m.stats().counter(counter);
-  const SimTime give_up = m.engine().Now() + deadline;
-  m.engine().RunUntil(
-      [&] { return c.value() >= threshold || m.engine().Now() >= give_up; });
-  const uint64_t stop_at = m.image().WriteCount() + extra_writes;
-  m.engine().RunUntil(
-      [&] { return m.image().WriteCount() >= stop_at || m.engine().Now() >= give_up; });
-  return m.CrashNow();
+  return RunToCounter(config_, workload, counter, threshold, extra_writes, deadline)
+      ->m.CrashNow();
 }
 
 CrashResult CrashHarness::RunAndCrashAtCheckpoint(const Workload& workload,
@@ -155,40 +168,16 @@ CrashResult CrashHarness::RunAndCrashAtCheckpoint(const Workload& workload,
 }
 
 uint64_t CrashHarness::MeasureWrites(const Workload& workload, SimDuration settle) {
-  Machine m(config_);
-  const uint64_t base = m.image().WriteCount();  // Format writes: not sweepable.
-  Proc proc = m.MakeProc("measure-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "measure-workload");
-  m.engine().RunUntil([&] { return state.done; });
-  SimTime end = m.engine().Now() + settle;
-  m.engine().RunUntil([&] { return m.engine().Now() >= end; });
-  return m.image().WriteCount() - base;
+  return RunToSettled(config_, workload, settle)->Writes();
 }
 
 uint64_t CrashHarness::MeasureCounter(const Workload& workload, const std::string& counter,
                                       SimDuration settle) {
-  Machine m(config_);
-  Proc proc = m.MakeProc("measure-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "measure-workload");
-  m.engine().RunUntil([&] { return state.done; });
-  SimTime end = m.engine().Now() + settle;
-  m.engine().RunUntil([&] { return m.engine().Now() >= end; });
-  return m.stats().counter(counter).value();
+  return RunToSettled(config_, workload, settle)->m.stats().counter(counter).value();
 }
 
 uint64_t CrashHarness::MeasureEvents(const Workload& workload, SimDuration settle) {
-  Machine m(config_);
-  Proc proc = m.MakeProc("measure-user");
-  RunState state;
-  m.engine().Spawn(WorkloadRoot(&m, &proc, &workload, &state), "measure-workload");
-  m.engine().RunUntil([&] { return state.done; });
-  // Let the syncer settle deferred work so the sweep covers post-workload
-  // flushing windows too.
-  SimTime end = m.engine().Now() + settle;
-  m.engine().RunUntil([&] { return m.engine().Now() >= end; });
-  return m.engine().EventsProcessed();
+  return RunToSettled(config_, workload, settle)->m.engine().EventsProcessed();
 }
 
 }  // namespace mufs

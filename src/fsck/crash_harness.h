@@ -54,18 +54,14 @@ class CrashHarness {
   CrashResult RunAndCrashAtWrite(const Workload& workload, uint64_t write_count,
                                  FsckOptions fsck_options = {});
 
-  // Mid-write crash: the power cut lands DURING the Nth device write, so
-  // that block persists torn (sector prefix only - DiskImage::WriteTorn)
-  // and the crash image is taken right there. Sweeping N explores the
-  // torn twin of every write-boundary crash state.
-  CrashResult RunAndCrashAtWriteTorn(const Workload& workload, uint64_t write_count,
-                                     FsckOptions fsck_options = {});
-
   // Like RunAndCrashAtWrite but hands back the crash image itself instead
   // of checking it - for tests that mutate the image (fsck repair).
   DiskImage CrashImageAtWrite(const Workload& workload, uint64_t write_count);
 
-  // Torn twin of CrashImageAtWrite: the final (Nth) write lands torn.
+  // Mid-write crash: the power cut lands DURING the Nth device write, so
+  // that block persists torn (sector prefix only - DiskImage::WriteTorn)
+  // and the crash image is taken right there. Sweeping N explores the
+  // torn twin of every write-boundary crash state.
   DiskImage CrashImageAtWriteTorn(const Workload& workload, uint64_t write_count);
 
   // Protocol-edge crash: run until a named counter (e.g.

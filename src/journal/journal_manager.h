@@ -86,7 +86,6 @@ class JournalManager {
   // The last committed image of a managed block (null if unmanaged).
   // PrepareWrite substitutes this for every in-place write.
   std::shared_ptr<const BlockData> StableImage(uint32_t blkno) const;
-  bool Managed(uint32_t blkno) const { return stable_.contains(blkno); }
 
   // Commits the open transaction now (fsync / unmount path).
   Task<void> CommitNow();

@@ -120,7 +120,7 @@ Task<void> JournalPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
 
 Task<void> JournalPolicy::FlushAll(Proc& proc) {
   co_await jm_->CommitNow();
-  co_await DrainAllDirty(proc);
+  co_await OrderingPolicy::FlushAll(proc);
 }
 
 }  // namespace mufs

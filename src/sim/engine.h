@@ -83,10 +83,6 @@ class Engine {
     return Awaiter{this, delay};
   }
 
-  // Awaitable: reschedule the current coroutine at the current time, after
-  // already-pending events. Lets other ready processes run.
-  auto Yield() { return Sleep(0); }
-
   // Starts a coroutine as an independent process. The engine owns it until
   // completion (or engine destruction).
   ProcessRef Spawn(Task<void> task, std::string name = "proc");

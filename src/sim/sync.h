@@ -51,7 +51,6 @@ class OneShotEvent {
   OneShotEvent(const OneShotEvent&) = delete;
   OneShotEvent& operator=(const OneShotEvent&) = delete;
 
-  bool IsSet() const { return set_; }
   void Set();
 
   struct Awaiter {

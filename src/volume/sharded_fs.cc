@@ -227,7 +227,6 @@ Task<FsStatus> ShardedFs::CrossShardRename(Proc& proc, const std::string& from,
       co_return barrier;
     }
   }
-  ++cross_shard_renames_;
   co_return co_await shards_[s_from]->Unlink(proc, from);
 }
 

@@ -82,8 +82,6 @@ class ShardedFs : public FsInterface {
   size_t ShardOfIno(uint32_t global) const { return global / ino_stride_; }
   uint32_t LocalIno(uint32_t global) const { return global % ino_stride_; }
 
-  uint64_t CrossShardRenames() const { return cross_shard_renames_; }
-
  private:
   // Join state for a parallel broadcast: each branch records its status
   // and the last one to finish wakes the waiter.
@@ -115,7 +113,6 @@ class ShardedFs : public FsInterface {
   // Serializes multi-shard structural operations (mkdir/rmdir broadcast,
   // directory rename, cross-shard file rename) so mirrors never diverge.
   Mutex ns_mu_;
-  uint64_t cross_shard_renames_ = 0;
 };
 
 }  // namespace mufs

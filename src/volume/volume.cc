@@ -7,19 +7,18 @@
 namespace mufs {
 
 StripedVolume::StripedVolume(Engine* engine, std::vector<DiskDriver*> disks,
-                             VolumeConfig config)
+                             StatsRegistry* stats, VolumeConfig config)
     : disks_(std::move(disks)),
       config_(config),
       gate_(engine, config.ordering),
-      all_done_(engine) {
+      all_done_(engine),
+      stat_reads_(&stats->counter("volume.reads")),
+      stat_writes_(&stats->counter("volume.writes")),
+      stat_splits_(&stats->counter("volume.splits")),
+      stat_held_(&stats->counter("volume.held")) {
   assert(!disks_.empty());
   assert(config_.layout.disks == disks_.size());
   assert(config_.layout.stripe_unit > 0);
-  assert(config_.stats != nullptr);
-  stat_reads_ = &config_.stats->counter("volume.reads");
-  stat_writes_ = &config_.stats->counter("volume.writes");
-  stat_splits_ = &config_.stats->counter("volume.splits");
-  stat_held_ = &config_.stats->counter("volume.held");
 }
 
 uint64_t StripedVolume::IssueWrite(uint32_t blkno,

@@ -68,13 +68,14 @@ struct VolumeConfig {
   // The scheme's ordering discipline, enforced at the volume gate (the
   // member drivers all run OrderingMode::kNone).
   OrderingRules ordering;
-  StatsRegistry* stats = nullptr;  // Required: the Machine's registry.
 };
 
 class StripedVolume : public BlockDevice {
  public:
   // `disks` are borrowed (the Machine owns them); one per layout disk.
-  StripedVolume(Engine* engine, std::vector<DiskDriver*> disks, VolumeConfig config);
+  // The volume counts into `stats` (the Machine's registry).
+  StripedVolume(Engine* engine, std::vector<DiskDriver*> disks, StatsRegistry* stats,
+                VolumeConfig config);
   StripedVolume(const StripedVolume&) = delete;
   StripedVolume& operator=(const StripedVolume&) = delete;
   ~StripedVolume() override = default;

@@ -32,8 +32,7 @@ struct Rig {
     stats.EnableTrace();
     DriverConfig cfg;
     cfg.ordering = rules;
-    cfg.stats = &stats;
-    driver = std::make_unique<DiskDriver>(&engine, &model, &image, cfg);
+    driver = std::make_unique<DiskDriver>(&engine, &model, &image, &stats, cfg);
   }
   Engine engine;
   DiskModel model;
@@ -147,7 +146,7 @@ TEST(DriverSchedulingTest, SequentialWritesMergeIntoOneRequest) {
   rig.Write(201, 2);
   rig.Write(202, 3);
   rig.engine.Run();
-  EXPECT_EQ(rig.driver->MergedRequests(), 2u);
+  EXPECT_EQ(rig.stats.counter("disk.merged_requests").value(), 2u);
   auto done = Completions(rig.stats);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].count, 3u);

@@ -30,29 +30,32 @@ inline std::shared_ptr<const BlockData> MakeBlock(uint8_t fill) {
   return b;
 }
 
-// Engine + model + image + injector + driver wired together. The injector
-// is declared before the driver so it outlives it. The driver's registry
-// traces, so tests read per-request outcomes back from the JSONL trace.
+// Engine + model + image + injector + registry + driver wired together.
+// The injector and the registry are declared before the driver so they
+// outlive it. The registry traces, so tests read per-request outcomes
+// back from the JSONL trace.
 struct FaultRig {
   explicit FaultRig(FaultConfig fault_cfg = {}, DriverConfig cfg = {})
       : model(DiskGeometry{}),
         image(DiskGeometry{}.total_blocks),
         faults(fault_cfg) {
+    registry.SetClock([this] { return engine.Now(); });
+    registry.EnableTrace();
     cfg.faults = &faults;
-    driver = std::make_unique<DiskDriver>(&engine, &model, &image, cfg);
-    driver->stats()->EnableTrace();
+    driver = std::make_unique<DiskDriver>(&engine, &model, &image, &registry, cfg);
   }
   Engine engine;
   DiskModel model;
   DiskImage image;
   FaultInjector faults;
+  StatsRegistry registry;
   std::unique_ptr<DiskDriver> driver;
 
   uint64_t Write(uint32_t blk, uint8_t fill, OrderingTag tag = {}) {
     return driver->IssueWrite(blk, {MakeBlock(fill)}, tag);
   }
-  uint64_t Counter(const char* name) { return driver->stats()->counter(name).value(); }
-  const StatsRegistry& stats() const { return *driver->stats(); }
+  uint64_t Counter(const char* name) { return registry.counter(name).value(); }
+  const StatsRegistry& stats() const { return registry; }
 };
 
 // Runs a waiter coroutine to completion and returns the terminal status

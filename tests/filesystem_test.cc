@@ -635,9 +635,10 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, FsTest,
 // dirtied, flushed and displaced from its inode cache. A seeded
 // create/write/unlink churn over a few names brings freed inode numbers
 // back; after every op, each shard's answer must match a recount of its
-// cached inodes. Soft updates can lose a directory entry in this churn (a
-// known defect), so each step looks its name up first and acts on what
-// the file system reports: the churn checks the count, not the namespace.
+// cached inodes. The churn keeps its own namespace bookkeeping and every
+// Lookup must agree with it: under soft updates a create that reuses the
+// slot of a pending removal used to lose its entry on the block's next
+// access.
 class DirtyInodeCountTest : public ::testing::TestWithParam<std::tuple<Scheme, uint32_t>> {};
 
 TEST_P(DirtyInodeCountTest, MatchesRecountThroughChurn) {
@@ -662,21 +663,30 @@ TEST_P(DirtyInodeCountTest, MatchesRecountThroughChurn) {
       }
     };
     std::set<uint32_t> seen;
+    std::map<std::string, uint32_t> names;  // The names the churn keeps.
     int reused = 0;
     Rng rng(11);
     for (int step = 0; step < 240; ++step) {
       std::string path = "/f" + std::to_string(rng.UniformInt(0, 5));
       Result<uint32_t> found = co_await m.vfs().Lookup(p, path);
-      if (!found.Ok()) {
+      auto it = names.find(path);
+      if (it == names.end() ? found.Ok() : !found.Ok() || found.value() != it->second) {
+        ADD_FAILURE() << "step " << step << ": lookup of " << path
+                      << " disagrees with the churn's bookkeeping";
+        co_return;
+      }
+      if (it == names.end()) {
         Result<uint32_t> ino = co_await m.vfs().Create(p, path);
         CO_ASSERT_TRUE(ino.Ok());
+        names.emplace(path, ino.value());
         reused += seen.insert(ino.value()).second ? 0 : 1;
       } else if (rng.Bernoulli(0.5)) {
         std::vector<uint8_t> data(static_cast<size_t>(rng.UniformInt(1, 3 * kBlockSize)),
                                   static_cast<uint8_t>(step));
-        CO_ASSERT_TRUE((co_await m.vfs().WriteFile(p, found.value(), 0, data)).Ok());
+        CO_ASSERT_TRUE((co_await m.vfs().WriteFile(p, it->second, 0, data)).Ok());
       } else {
         CO_ASSERT_EQ(co_await m.vfs().Unlink(p, path), FsStatus::kOk);
+        names.erase(it);
       }
       if (step % 40 == 39) {
         co_await m.engine().Sleep(Sec(3));  // Syncer passes write everything back.

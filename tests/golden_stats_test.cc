@@ -194,6 +194,13 @@ TEST(GoldenStatsTest, AsyncSdetStatsMatchGolden) {
   CheckNamedGolden(RunSdetGoldenWorkload(Scheme::kAsync), "async_sdet_seed42.json");
 }
 
+// Soft updates on Sdet: the scheme and workload of fig6's Soft Updates
+// rows.
+TEST(GoldenStatsTest, SoftUpdatesSdetStatsMatchGolden) {
+  CheckNamedGolden(RunSdetGoldenWorkload(Scheme::kSoftUpdates),
+                   "soft_updates_sdet_seed42.json");
+}
+
 // --disks=1 is required to be the EXACT pre-volume machine: the same
 // golden bytes as a config that never mentions the flag.
 TEST(GoldenStatsTest, ExplicitSingleDiskMatchesSingleDiskGolden) {

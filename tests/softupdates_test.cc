@@ -61,7 +61,7 @@ TEST(SoftUpdatesTest, CreateRegistersDirAddDependency) {
   RunSu(m, [](Machine& mm, Proc& p) -> Task<void> {
     (void)co_await mm.fs().Create(p, "/f");
   });
-  EXPECT_GE(Policy(m).stats().dir_adds, 1u);
+  EXPECT_GE(m.stats().counter("su.dir_adds").value(), 1u);
   EXPECT_TRUE(Policy(m).HasPendingDeps());
 }
 
@@ -83,8 +83,8 @@ TEST(SoftUpdatesTest, DirBlockWriteBeforeInodeIsUndone) {
     EXPECT_EQ(OnDiskEntryIno(mm.image(), dir_blk, 0), 0u);
     Result<uint32_t> found = co_await mm.fs().Lookup(p, "/early");
     EXPECT_TRUE(found.Ok());
-    EXPECT_GE(Policy(mm).stats().undos, 1u);
-    EXPECT_GE(Policy(mm).stats().redos, 1u);
+    EXPECT_GE(mm.stats().counter("su.undos").value(), 1u);
+    EXPECT_GE(mm.stats().counter("su.redos").value(), 1u);
 
     // After a full flush the entry lands with the real ino.
     co_await mm.fs().SyncEverything(p);
@@ -105,7 +105,7 @@ TEST(SoftUpdatesTest, CreateThenRemoveNeedsNoEntryWrites) {
     // The adds and removes cancel: nothing needs to reach the disk.
     EXPECT_EQ(mm.image().WriteCount(), writes_before);
   });
-  EXPECT_EQ(Policy(m).stats().cancelled_pairs, 10u);
+  EXPECT_EQ(m.stats().counter("su.cancelled_pairs").value(), 10u);
 }
 
 TEST(SoftUpdatesTest, BlockFreeIsDeferredUntilInodeWrite) {
@@ -123,10 +123,10 @@ TEST(SoftUpdatesTest, BlockFreeIsDeferredUntilInodeWrite) {
     // deferred (dirrem) until the cleared entry reaches stable storage,
     // and the block frees defer further until the reset inode does.
     EXPECT_EQ(mm.stats().counter("fs.blocks_freed").value(), freed_before);
-    EXPECT_GE(Policy(mm).stats().dir_rems, 1u);
+    EXPECT_GE(mm.stats().counter("su.dir_rems").value(), 1u);
 
     co_await mm.fs().SyncEverything(p);
-    EXPECT_GE(Policy(mm).stats().deferred_frees, 1u);
+    EXPECT_GE(mm.stats().counter("su.deferred_frees").value(), 1u);
     EXPECT_EQ(mm.stats().counter("fs.blocks_freed").value(), freed_before + 3);
   });
 }
@@ -142,7 +142,7 @@ TEST(SoftUpdatesTest, WorkitemsRunOnSyncerQueue) {
     (void)co_await mm.fs().Unlink(p, "/w");
     co_await mm.fs().SyncEverything(p);
   });
-  EXPECT_GE(Policy(m).stats().workitems, 1u);
+  EXPECT_GE(m.stats().counter("su.workitems").value(), 1u);
   EXPECT_GE(m.syncer().WorkitemsRun(), 1u);
   EXPECT_FALSE(Policy(m).HasPendingDeps());
 }

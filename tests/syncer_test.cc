@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
@@ -25,16 +26,20 @@ namespace {
 struct Rig {
   explicit Rig(CacheConfig ccfg = {}, DriverConfig dcfg = {}, FaultConfig fcfg = {})
       : model(DiskGeometry{}), image(DiskGeometry{}.total_blocks), faults(fcfg) {
+    stats.SetClock([this] { return engine.Now(); });
     dcfg.faults = &faults;
-    driver = std::make_unique<DiskDriver>(&engine, &model, &image, dcfg);
-    cache = std::make_unique<BufferCache>(&engine, driver.get(), ccfg);
+    driver = std::make_unique<DiskDriver>(&engine, &model, &image, &stats, dcfg);
+    cache = std::make_unique<BufferCache>(&engine, driver.get(), &stats, ccfg);
   }
   Engine engine;
   DiskModel model;
   DiskImage image;
   FaultInjector faults;
+  StatsRegistry stats;
   std::unique_ptr<DiskDriver> driver;
   std::unique_ptr<BufferCache> cache;
+
+  uint64_t Count(std::string_view name) { return stats.counter(name).value(); }
 
   template <typename F, typename... Args>
   void RunTask(F&& f, Args&&... args) {
@@ -95,17 +100,17 @@ TEST(SyncerTest, DirtyBufferIsWrittenOnThePassAfterItIsMarked) {
   Rig rig;
   rig.DirtyBlock(50, 0xaa);
   EXPECT_EQ(rig.cache->DirtyCount(), 1u);
-  EXPECT_EQ(rig.cache->stats().delayed_writes, 1u);
+  EXPECT_EQ(rig.Count("cache.delayed_writes"), 1u);
 
   // Pass 1 only marks: the buffer was not marked on a previous pass, so
   // nothing is written yet.
   rig.PassAndSettle(1.0);
-  EXPECT_EQ(rig.cache->stats().write_issues, 0u);
+  EXPECT_EQ(rig.Count("cache.write_issues"), 0u);
   EXPECT_EQ(rig.cache->DirtyCount(), 1u);
 
   // Pass 2 writes what pass 1 marked.
   rig.PassAndSettle(1.0);
-  EXPECT_EQ(rig.cache->stats().write_issues, 1u);
+  EXPECT_EQ(rig.Count("cache.write_issues"), 1u);
   EXPECT_EQ(rig.cache->DirtyCount(), 0u);
   BlockData d;
   rig.image.Read(50, &d);
@@ -120,7 +125,7 @@ TEST(SyncerTest, RedirtyBetweenPassesStillReachesDisk) {
   // pass flushes the NEW bytes (delayed writes coalesce).
   rig.DirtyBlock(60, 0x02);
   rig.PassAndSettle(1.0);
-  EXPECT_EQ(rig.cache->stats().write_issues, 1u);
+  EXPECT_EQ(rig.Count("cache.write_issues"), 1u);
   BlockData d;
   rig.image.Read(60, &d);
   EXPECT_EQ(d[0], 0x02);
@@ -142,7 +147,7 @@ TEST(SyncerTest, WindowFractionSpreadsWritebackAcrossPasses) {
   uint64_t prev = 0;
   for (int pass = 0; pass < 6; ++pass) {
     rig.PassAndSettle(0.125);
-    uint64_t now = rig.cache->stats().write_issues;
+    uint64_t now = rig.Count("cache.write_issues");
     issued_per_pass.push_back(now - prev);
     prev = now;
   }
@@ -221,16 +226,16 @@ TEST(SyncerTest, TerminallyFailedBufferIsStickyAndSkipped) {
 
   rig.cache->SyncerPass(1.0);  // Mark.
   rig.PassAndSettle(1.0);      // Write: fails terminally.
-  EXPECT_EQ(rig.cache->stats().write_failures, 1u);
+  EXPECT_EQ(rig.Count("cache.write_failures"), 1u);
   EXPECT_EQ(rig.cache->FailedCount(), 1u);
   // DirtyCount excludes write-failed buffers so drain loops cannot spin.
   EXPECT_EQ(rig.cache->DirtyCount(), 0u);
 
   // Later passes must skip the poisoned buffer entirely.
-  uint64_t issues = rig.cache->stats().write_issues;
+  uint64_t issues = rig.Count("cache.write_issues");
   rig.PassAndSettle(1.0);
   rig.PassAndSettle(1.0);
-  EXPECT_EQ(rig.cache->stats().write_issues, issues);
+  EXPECT_EQ(rig.Count("cache.write_issues"), issues);
   EXPECT_EQ(rig.cache->FailedCount(), 1u);
 
   // An explicit successful write clears the sticky flag.
