@@ -35,10 +35,9 @@ Task<void> AsyncPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> AsyncPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                                     Inode& target, bool new_inode) {
+Task<void> AsyncPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
+                                     bool new_inode) {
   (void)proc;
-  (void)dir;
   (void)offset;
   (void)new_inode;
   NoteOrderingPoint("link_add", "visible");
@@ -47,11 +46,10 @@ Task<void> AsyncPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uin
   co_return;  // Everything stays a delayed write.
 }
 
-Task<void> AsyncPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
+Task<void> AsyncPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
                                         DirEntry old_entry, uint32_t removed_ino,
                                         const RenameContext* rename) {
   (void)proc;
-  (void)dir;
   (void)offset;
   (void)old_entry;
   NoteOrderingPoint("link_remove", "visible");

@@ -40,11 +40,10 @@ class AsyncPolicy final : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset, Inode& target,
+  Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
                           bool new_inode) override;
-  Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                             DirEntry old_entry, uint32_t removed_ino,
-                             const RenameContext* rename) override;
+  Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
+                             uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
   // Barrier: every op visible at entry becomes durable, then the cache is
   // drained to quiescence (the unmount contract).

@@ -190,10 +190,9 @@ uint64_t BufferCache::IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer) 
   SetDirtyState(*buf, false, buf->write_failed_);
   buf->syncer_mark_ = false;
   // The write captures the buffer's current content (safe copy or io
-  // lock), so the visibility stamps it carries are on their way out; any
+  // lock), so the visibility stamp it carries is on its way out; any
   // later stamp re-marks the buffer for a future epoch. A failed write
-  // leaves the stamps cleared, which flush paths treat conservatively.
-  buf->visible_seq_ = 0;
+  // leaves the stamp cleared, which flush paths treat conservatively.
   buf->first_visible_seq_ = 0;
   stat_write_issues_->Inc();
   if (stats_->tracing()) {

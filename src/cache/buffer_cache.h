@@ -63,16 +63,6 @@ class Buf {
   // if a later explicit write succeeds.
   bool write_failed() const { return write_failed_; }
 
-  // Visibility state (Scheme::kAsync): sequence number of the newest
-  // async metadata operation whose update is visible in this buffer.
-  // The buffer's content is only guaranteed stable once the ledger's
-  // durable horizon reaches this stamp. 0 under every other scheme.
-  uint64_t visible_seq() const { return visible_seq_; }
-  // Oldest stamp since the buffer was last written out: the epoch whose
-  // close first needs this buffer. 0 = dirtied outside any async op (or
-  // not dirty), which flush paths treat conservatively as "needed now".
-  uint64_t first_visible_seq() const { return first_visible_seq_; }
-
   // Set by DepHooks::PrepareWrite when it undoes updates in the buffer for
   // the duration of the write: readers block until the I/O completes and
   // the updates are restored.
@@ -106,8 +96,11 @@ class Buf {
                                // and concurrent waiters must bail out.
   bool syncer_mark_ = false;  // Marked on the previous syncer pass.
   uint64_t last_write_req_ = 0;  // Driver id of the newest write of this buf.
-  uint64_t visible_seq_ = 0;     // Async-scheme visibility stamp; see above.
-  uint64_t first_visible_seq_ = 0;  // Oldest stamp since last write-out.
+  // Async-scheme visibility stamp: the oldest op sequence stamped since
+  // the last write-out, i.e. the epoch whose close first needs this
+  // buffer. 0 = dirtied outside any async op (or not dirty), which flush
+  // paths treat conservatively as "needed now"; 0 under other schemes.
+  uint64_t first_visible_seq_ = 0;
   std::vector<uint64_t> pending_write_deps_;  // Chain deps for the next write.
   uint64_t lru_tick_ = 0;
   CondVar io_cv_;  // Signalled when io_locked_/valid_ changes.
@@ -207,13 +200,10 @@ class BufferCache {
   // `req_id`. Accumulates until consumed by the next write issue.
   void AddWriteDep(Buf& buf, uint64_t req_id) { buf.pending_write_deps_.push_back(req_id); }
 
-  // Raises the buffer's async visibility stamp (monotone) and pins the
-  // first stamp since the last write-out. Called by the async policy at
-  // its ordering points; see Buf::visible_seq().
+  // Pins the buffer's first async visibility stamp since the last
+  // write-out. Called by the async policy at its ordering points; see
+  // Buf::first_visible_seq_.
   void StampVisibleSeq(Buf& buf, uint64_t seq) {
-    if (seq > buf.visible_seq_) {
-      buf.visible_seq_ = seq;
-    }
     if (buf.first_visible_seq_ == 0) {
       buf.first_visible_seq_ = seq;
     }

@@ -68,10 +68,9 @@ Task<void> NoOrderPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> NoOrderPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                                       Inode& target, bool new_inode) {
+Task<void> NoOrderPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
+                                       bool new_inode) {
   (void)proc;
-  (void)dir;
   (void)dir_buf;
   (void)offset;
   (void)target;
@@ -80,10 +79,9 @@ Task<void> NoOrderPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, u
   co_return;  // Everything is already a delayed write.
 }
 
-Task<void> NoOrderPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
+Task<void> NoOrderPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
                                           DirEntry old_entry, uint32_t removed_ino,
                                           const RenameContext* rename) {
-  (void)dir;
   (void)dir_buf;
   (void)offset;
   (void)old_entry;
@@ -146,10 +144,9 @@ Task<void> ConventionalPolicy::SetupBlockFree(Proc& proc, Inode& ip,
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> ConventionalPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf,
-                                            uint32_t offset, Inode& target, bool new_inode) {
+Task<void> ConventionalPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                            Inode& target, bool new_inode) {
   (void)proc;
-  (void)dir;
   (void)dir_buf;
   (void)offset;
   (void)new_inode;
@@ -164,11 +161,9 @@ Task<void> ConventionalPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_b
   }
 }
 
-Task<void> ConventionalPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf,
-                                               uint32_t offset, DirEntry old_entry,
-                                               uint32_t removed_ino,
+Task<void> ConventionalPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                               DirEntry old_entry, uint32_t removed_ino,
                                                const RenameContext* rename) {
-  (void)dir;
   (void)offset;
   (void)old_entry;
   NoteOrderingPoint("link_remove", "sync_write");
@@ -246,9 +241,8 @@ Task<void> SchedulerFlagPolicy::SetupBlockFree(Proc& proc, Inode& ip,
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> SchedulerFlagPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf,
-                                             uint32_t offset, Inode& target, bool new_inode) {
-  (void)dir;
+Task<void> SchedulerFlagPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                             Inode& target, bool new_inode) {
   (void)dir_buf;
   (void)offset;
   (void)new_inode;
@@ -261,11 +255,9 @@ Task<void> SchedulerFlagPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_
   (void)co_await fs()->cache()->Bawrite(target.itable_buf, flagged);
 }
 
-Task<void> SchedulerFlagPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf,
-                                                uint32_t offset, DirEntry old_entry,
-                                                uint32_t removed_ino,
+Task<void> SchedulerFlagPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                                DirEntry old_entry, uint32_t removed_ino,
                                                 const RenameContext* rename) {
-  (void)dir;
   (void)offset;
   (void)old_entry;
   NoteOrderingPoint("link_remove", "flagged_write");
@@ -364,9 +356,8 @@ Task<void> SchedulerChainPolicy::SetupBlockFree(Proc& proc, Inode& ip,
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> SchedulerChainPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf,
-                                              uint32_t offset, Inode& target, bool new_inode) {
-  (void)dir;
+Task<void> SchedulerChainPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                              Inode& target, bool new_inode) {
   (void)offset;
   (void)new_inode;
   (void)proc;
@@ -384,11 +375,9 @@ Task<void> SchedulerChainPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir
   fs()->cache()->AddWriteDep(*dir_buf, id);
 }
 
-Task<void> SchedulerChainPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf,
-                                                 uint32_t offset, DirEntry old_entry,
-                                                 uint32_t removed_ino,
+Task<void> SchedulerChainPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                                 DirEntry old_entry, uint32_t removed_ino,
                                                  const RenameContext* rename) {
-  (void)dir;
   (void)offset;
   (void)old_entry;
   NoteOrderingPoint("link_remove", "chain_dep");

@@ -23,11 +23,10 @@ class NoOrderPolicy final : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset, Inode& target,
+  Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
                           bool new_inode) override;
-  Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                             DirEntry old_entry, uint32_t removed_ino,
-                             const RenameContext* rename) override;
+  Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
+                             uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
 };
 
@@ -41,11 +40,10 @@ class ConventionalPolicy final : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset, Inode& target,
+  Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
                           bool new_inode) override;
-  Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                             DirEntry old_entry, uint32_t removed_ino,
-                             const RenameContext* rename) override;
+  Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
+                             uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
 };
 
@@ -60,11 +58,10 @@ class SchedulerFlagPolicy final : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset, Inode& target,
+  Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
                           bool new_inode) override;
-  Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                             DirEntry old_entry, uint32_t removed_ino,
-                             const RenameContext* rename) override;
+  Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
+                             uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
 };
 
@@ -84,11 +81,10 @@ class SchedulerChainPolicy final : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset, Inode& target,
+  Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
                           bool new_inode) override;
-  Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                             DirEntry old_entry, uint32_t removed_ino,
-                             const RenameContext* rename) override;
+  Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
+                             uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
 
  private:

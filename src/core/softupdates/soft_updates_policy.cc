@@ -7,31 +7,12 @@
 
 namespace mufs {
 
-// Adapter so the policy itself stays an OrderingPolicy while also serving
-// the cache's DepHooks interface.
-class SoftDepHooks final : public DepHooks {
- public:
-  explicit SoftDepHooks(SoftUpdatesPolicy* p) : p_(p) {}
-  std::shared_ptr<const BlockData> PrepareWrite(Buf& buf) override {
-    return p_->PrepareWrite(buf);
-  }
-  void WriteDone(Buf& buf) override { p_->WriteDone(buf); }
-  void WriteAborted(Buf& buf) override { p_->WriteAborted(buf); }
-  void BufferAccessed(Buf& buf) override { p_->BufferAccessed(buf); }
-
- private:
-  SoftUpdatesPolicy* p_;
-};
-
 SoftUpdatesPolicy::SoftUpdatesPolicy() {
-  hooks_ = std::make_unique<SoftDepHooks>(this);
   sys_proc_.pid = kSystemPid;
   sys_proc_.name = "softdep";
 }
 
 SoftUpdatesPolicy::~SoftUpdatesPolicy() = default;
-
-DepHooks* SoftUpdatesPolicy::CacheHooks() { return hooks_.get(); }
 
 void SoftUpdatesPolicy::Attach(FileSystem* fs) {
   OrderingPolicy::Attach(fs);
@@ -209,10 +190,9 @@ Task<void> SoftUpdatesPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<
   co_return;
 }
 
-Task<void> SoftUpdatesPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf,
-                                           uint32_t offset, Inode& target, bool new_inode) {
+Task<void> SoftUpdatesPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                           Inode& target, bool new_inode) {
   (void)proc;
-  (void)dir;
   (void)new_inode;
   NoteOrderingPoint("link_add", "dep_record");
   auto add = std::make_unique<DirAddDep>();
@@ -227,11 +207,9 @@ Task<void> SoftUpdatesPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_bu
   co_return;
 }
 
-Task<void> SoftUpdatesPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf,
-                                              uint32_t offset, DirEntry old_entry,
-                                              uint32_t removed_ino,
+Task<void> SoftUpdatesPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
+                                              DirEntry old_entry, uint32_t removed_ino,
                                               const RenameContext* rename) {
-  (void)dir;
   NoteOrderingPoint("link_remove", rename != nullptr ? "dep_record_rename" : "dep_record");
   BlockDeps* bd = FindDeps(dir_buf->blkno());
   if (bd != nullptr) {

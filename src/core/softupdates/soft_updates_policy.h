@@ -48,18 +48,22 @@ class SoftUpdatesPolicy final : public OrderingPolicy {
 
   std::string_view Name() const override { return "SoftUpdates"; }
   bool WriteThroughInodes() const override { return false; }
-  DepHooks* CacheHooks() override;
   void Attach(FileSystem* fs) override;
+
+  // Cache hooks: write-time undo, completion-time redo.
+  std::shared_ptr<const BlockData> PrepareWrite(Buf& buf) override;
+  void WriteDone(Buf& buf) override;
+  void WriteAborted(Buf& buf) override;
+  void BufferAccessed(Buf& buf) override;
 
   Task<void> SetupAllocation(Proc& proc, Inode& ip, BufRef data_buf, PtrLoc loc,
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset, Inode& target,
+  Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
                           bool new_inode) override;
-  Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                             DirEntry old_entry, uint32_t removed_ino,
-                             const RenameContext* rename) override;
+  Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
+                             uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
   Task<void> FlushAll(Proc& proc) override;
   bool DirSlotBusy(uint32_t blkno, uint32_t offset) const override;
@@ -67,8 +71,6 @@ class SoftUpdatesPolicy final : public OrderingPolicy {
   bool HasPendingDeps() const;
 
  private:
-  friend class SoftDepHooks;
-
   struct DirRemDep;
 
   // Every dependency has a `captured` notion: a completing write may only
@@ -146,12 +148,6 @@ class SoftUpdatesPolicy final : public OrderingPolicy {
   void PinInode(uint32_t ino);
   void UnpinInode(uint32_t ino);
 
-  // Hook bodies (called by SoftDepHooks).
-  std::shared_ptr<const BlockData> PrepareWrite(Buf& buf);
-  void WriteDone(Buf& buf);
-  void WriteAborted(Buf& buf);
-  void BufferAccessed(Buf& buf);
-
   void CompleteNewBlock(Buf& buf);
   void FinishAdd(DirAddDep* add);  // Unpin, drop waiter, release rename hold.
   void RemoveInodeWaiter(DirAddDep* add);
@@ -164,7 +160,6 @@ class SoftUpdatesPolicy final : public OrderingPolicy {
   std::unordered_map<uint32_t, BlockDeps> deps_;
   std::unordered_map<uint32_t, AllocDep*> newblk_;  // data blkno -> dep.
   std::unordered_map<uint32_t, std::vector<DirAddDep*>> inode_waiters_;  // itable blk.
-  std::unique_ptr<DepHooks> hooks_;
   Proc sys_proc_;
 
   // su.* metric handles into the file system's registry, bound at Attach.

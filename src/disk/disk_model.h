@@ -14,11 +14,11 @@
 //   - on-board sequential read prefetch (the paper's "disk prefetches
 //     sequentially into its on-board cache"): sequential reads hit the
 //     cache and cost only bus transfer time.
-// Command queueing at the disk is modelled one layer up (DeviceQueue +
-// the driver's dispatch loop); this model contributes the const
-// PositioningCost() estimate that the device's RPO pick policy ranks
-// queued commands by. The paper's substrate (queueing disabled) is the
-// queue-depth-1 configuration.
+// Command queueing at the disk is modelled one layer up, in the driver
+// (its dispatch loop and the OrderingGate over the device window); this
+// model contributes the const PositioningCost() estimate that the
+// device's RPO pick ranks eligible commands by. The paper's substrate
+// (queueing disabled) is the queue-depth-1 configuration.
 #ifndef MUFS_SRC_DISK_DISK_MODEL_H_
 #define MUFS_SRC_DISK_DISK_MODEL_H_
 

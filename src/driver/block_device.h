@@ -47,9 +47,6 @@ class BlockDevice {
   // Requests issued to this device and not yet completed.
   virtual size_t PendingCount() const = 0;
   virtual Task<void> Drain() = 0;  // Waits until PendingCount() == 0.
-
-  // True if any pending write overlaps [blkno, blkno+count).
-  virtual bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const = 0;
 };
 
 }  // namespace mufs

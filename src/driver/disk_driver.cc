@@ -30,6 +30,7 @@ DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, Stats
       config_(config),
       stats_(stats),
       gate_(engine, config.ordering),
+      device_gate_(engine, {OrderingMode::kFlag, FlagSemantics::kFull, /*reads_bypass=*/false}),
       work_available_(engine),
       queue_empty_(engine) {
   // With an image_map the image is the whole volume; this disk's media
@@ -57,10 +58,9 @@ DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, Stats
   stat_response_ = &stats_->histogram(InstanceMetricName(inst, "disk.response_ns"));
   stat_access_ = &stats_->histogram(InstanceMetricName(inst, "disk.access_ns"));
   stat_queue_delay_ = &stats_->histogram(InstanceMetricName(inst, "disk.queue_ns"));
-  if (config_.queue_depth > 1) {
+  if (Queueing()) {
     // Registered only in queueing mode: the depth-1 stats surface (and
     // with it every golden sidecar) must stay byte-identical.
-    device_queue_ = std::make_unique<DeviceQueue>(config_.queue_depth);
     stat_tag_simple_ = &stats_->counter(InstanceMetricName(inst, "disk.tag_simple"));
     stat_tag_ordered_ = &stats_->counter(InstanceMetricName(inst, "disk.tag_ordered"));
     stat_rpo_picks_ = &stats_->counter(InstanceMetricName(inst, "disk.rpo_picks"));
@@ -218,19 +218,33 @@ DiskDriver::Request* DiskDriver::PickNext() {
 
 DiskDriver::Request* DiskDriver::PickFromDevice() {
   DispatchToDevice();
-  const DeviceCommand* cmd = device_queue_->PickNext(*model_, engine_->Now());
-  if (cmd == nullptr) {
-    return nullptr;
+  // Rotational-position ordering: the least positioning cost among the
+  // commands the device gate lets start. Strict < keeps the earliest
+  // accepted of equal-cost commands, so picks are deterministic. The
+  // oldest accepted command is always eligible, since every rule looks
+  // only at earlier accepted ones.
+  Request* best = nullptr;
+  SimDuration best_cost = 0;
+  for (const auto& q : accepted_) {
+    if (!device_gate_.Eligible(q->device)) {
+      continue;
+    }
+    SimDuration cost =
+        model_->PositioningCost(q->dir == IoDir::kWrite, q->blkno, q->count, engine_->Now());
+    if (best == nullptr || cost < best_cost) {
+      best = q.get();
+      best_cost = cost;
+    }
   }
-  if (cmd->seq != device_queue_->OldestSeq()) {
+  if (best != nullptr && best != accepted_.front().get()) {
     stat_rpo_picks_->Inc();  // A true reordering, not just FIFO.
   }
-  return static_cast<Request*>(cmd->cookie);
+  return best;
 }
 
 Task<void> DiskDriver::ServiceLoop() {
   while (!stopping_) {
-    Request* r = device_queue_ == nullptr ? PickNext() : PickFromDevice();
+    Request* r = Queueing() ? PickFromDevice() : PickNext();
     if (r == nullptr) {
       if (PendingCount() == 0) {
         queue_empty_.NotifyAll();
@@ -243,38 +257,33 @@ Task<void> DiskDriver::ServiceLoop() {
     // constraining (and being constrained by) its queue siblings, and no
     // sibling can be reordered past a barrier by a retry.
     std::unique_ptr<Request> owned;
-    if (device_queue_ == nullptr) {
+    if (!Queueing()) {
       owned = Detach(&queue_, r);
     }
     in_service_ = r;
     IoStatus status = co_await ServiceOne(r);
     scan_from_ = r->blkno + r->count;
-    if (device_queue_ != nullptr) {
+    if (Queueing()) {
       owned = Detach(&accepted_, r);
-      device_queue_->Remove(r->device_seq);
+      device_gate_.Retire(r->device);
     }
     Complete(r, status);
     in_service_ = nullptr;
     stat_queue_depth_->Set(static_cast<int64_t>(PendingCount()));
-    if (device_queue_ != nullptr) {
-      stat_device_queue_->Set(static_cast<int64_t>(device_queue_->Size()));
+    if (Queueing()) {
+      stat_device_queue_->Set(static_cast<int64_t>(accepted_.size()));
     }
   }
 }
 
-TagKind DiskDriver::DeviceTagFor(const Request& r) const {
+bool DiskDriver::DeviceTagFor(const Request& r) const {
   // kNone covers Conventional (orders by waiting), No Order, soft updates
   // (orders in the cache), journaling (orders via the log) AND the
   // "Ignore" datapoint - all simple tags, the device runs free. For the
   // scheduler schemes, every ordering boundary (flag, dependency list, or
   // the policy's explicit annotation) becomes an ordered tag.
-  if (config_.ordering.mode == OrderingMode::kNone) {
-    return TagKind::kSimple;
-  }
-  if (r.device_ordered || r.flag || !r.deps.empty()) {
-    return TagKind::kOrdered;
-  }
-  return TagKind::kSimple;
+  return config_.ordering.mode != OrderingMode::kNone &&
+         (r.device_ordered || r.flag || !r.deps.empty());
 }
 
 void DiskDriver::DispatchToDevice() {
@@ -284,24 +293,24 @@ void DiskDriver::DispatchToDevice() {
   // chain dependency always names an earlier-issued request, which is
   // therefore either complete or accepted earlier - an ordered tag on the
   // dependent request subsumes it.
-  while (!queue_.empty() && !device_queue_->Full()) {
-    std::unique_ptr<Request> req = std::move(queue_.front());
+  while (!queue_.empty() && accepted_.size() < config_.queue_depth) {
+    Request* r = accepted_.emplace_back(std::move(queue_.front())).get();
     queue_.pop_front();
-    Request* r = req.get();
-    TagKind tag = DeviceTagFor(*r);
-    r->device_seq = device_queue_->Accept(tag, r->dir == IoDir::kWrite, r->blkno, r->count, r);
-    (tag == TagKind::kOrdered ? stat_tag_ordered_ : stat_tag_simple_)->Inc();
+    bool ordered = DeviceTagFor(*r);
+    r->device = {.dir = r->dir, .blkno = r->blkno, .count = r->count, .flag = ordered,
+                 .issue_index = device_gate_.NextIssueIndex(ordered), .deps = {}};
+    device_gate_.Index(r->device);
+    (ordered ? stat_tag_ordered_ : stat_tag_simple_)->Inc();
     if (stats_->tracing()) {
       stats_->Trace(trace_names_.accept, {{"id", r->ids.front()},
-                                    {"seq", r->device_seq},
-                                    {"tag", TagKindName(tag)},
+                                    {"seq", r->device.issue_index},
+                                    {"tag", ordered ? "ordered" : "simple"},
                                     {"blkno", r->blkno},
                                     {"count", r->count},
-                                    {"dq", device_queue_->Size()}});
+                                    {"dq", accepted_.size()}});
     }
-    accepted_.push_back(std::move(req));
   }
-  stat_device_queue_->Set(static_cast<int64_t>(device_queue_->Size()));
+  stat_device_queue_->Set(static_cast<int64_t>(accepted_.size()));
 }
 
 Task<IoStatus> DiskDriver::ServiceOne(Request* r) {
@@ -483,7 +492,7 @@ void DiskDriver::Kick() { work_available_.NotifyAll(); }
 
 size_t DiskDriver::PendingCount() const {
   size_t n = queue_.size() + accepted_.size();
-  if (in_service_ != nullptr && device_queue_ == nullptr) {
+  if (in_service_ != nullptr && !Queueing()) {
     ++n;  // Depth 1: the in-service request is detached from the queue.
   }
   return n;

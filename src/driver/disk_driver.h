@@ -12,14 +12,17 @@
 //     and -NR, or Chains), decided by the driver's OrderingGate.
 //
 // Command queueing (queue_depth > 1): the driver dispatches requests to
-// the device IN ISSUE ORDER until the device queue is full, and the
-// device picks what to execute next by rotational position (DeviceQueue).
-// Ordering moves into command tags: the Flag and Chains schemes' ordering
-// boundaries become ORDERED tags (device-enforced barriers over
-// acceptance order); everything else is a SIMPLE tag the device may
-// reorder. Completions therefore leave the device out of submission
-// order. Depth 1 (the default) runs the exact non-queueing code path
-// above, byte-identical in stats and timing to the pre-queueing driver.
+// the device IN ISSUE ORDER until the device window is full, and the
+// device picks what to execute next by rotational position. Ordering
+// moves into command tags: the Flag and Chains schemes' ordering
+// boundaries become ORDERED tags; everything else is a SIMPLE tag the
+// device may reorder. A second OrderingGate with Full flag semantics
+// gates the window over acceptance order: an ORDERED tag is the paper's
+// Full flag (a barrier in both directions), and overlapping writes keep
+// their order under every tag. Completions therefore leave the device
+// out of submission order. Depth 1 (the default) runs the exact
+// non-queueing code path above, byte-identical in stats and timing to
+// the pre-queueing driver.
 #ifndef MUFS_SRC_DRIVER_DISK_DRIVER_H_
 #define MUFS_SRC_DRIVER_DISK_DRIVER_H_
 
@@ -30,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "src/disk/device_queue.h"
 #include "src/disk/disk_image.h"
 #include "src/disk/disk_model.h"
 #include "src/driver/block_device.h"
@@ -122,13 +124,8 @@ class DiskDriver : public BlockDevice {
   // Counts driver-queued, device-accepted and in-service requests.
   size_t PendingCount() const override;
   // Commands currently accepted into the device queue (0 at depth 1).
-  size_t DeviceQueueSize() const { return device_queue_ ? device_queue_->Size() : 0; }
+  size_t DeviceQueueSize() const { return accepted_.size(); }
   Task<void> Drain() override;  // Waits until the queue is empty.
-
-  // True if any pending write overlaps [blkno, blkno+count).
-  bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const override {
-    return gate_.HasPendingWrite(blkno, count);
-  }
 
   // Issued requests, merged ones included: disk.reads + disk.writes.
   uint64_t TotalRequests() const { return stat_reads_->value() + stat_writes_->value(); }
@@ -141,7 +138,9 @@ class DiskDriver : public BlockDevice {
   struct Request : GatedRequest {
     std::vector<uint64_t> ids;  // All ids merged into this device request.
     bool device_ordered = false;  // Scheme asked for an ordered device tag.
-    uint64_t device_seq = 0;  // Device acceptance number (queueing mode).
+    // The device's view, set at dispatch (queueing mode): `flag` is the
+    // ORDERED tag and `issue_index` the acceptance number.
+    GatedRequest device;
     // Silent damage decided for this (write) request: the device reports
     // success but the media transfer is torn or misdirected. Set by
     // ServiceOne, consumed by Complete. kNone = honest transfer.
@@ -164,8 +163,10 @@ class DiskDriver : public BlockDevice {
   // Moves requests from the driver queue into the device queue, in issue
   // order, until the device queue is full or the driver queue is empty.
   void DispatchToDevice();
-  // Command tag for a request under the configured ordering mode.
-  TagKind DeviceTagFor(const Request& r) const;
+  // True if `r` gets an ORDERED command tag under the configured
+  // ordering mode (false: a SIMPLE tag).
+  bool DeviceTagFor(const Request& r) const;
+  bool Queueing() const { return config_.queue_depth > 1; }
   // Services `r` (in_service_) including the fault / retry / remap path;
   // returns the terminal status.
   Task<IoStatus> ServiceOne(Request* r);
@@ -225,7 +226,9 @@ class DiskDriver : public BlockDevice {
   // acceptance (= issue) order. The in-service request stays here until
   // completion; at depth 1 this list is always empty.
   std::list<std::unique_ptr<Request>> accepted_;
-  std::unique_ptr<DeviceQueue> device_queue_;  // Null at depth 1.
+  // Queueing mode only: gates accepted_ by the requests' device views,
+  // with Full flag semantics (kFlag, kFull, no read bypass).
+  OrderingGate device_gate_;
   Request* in_service_ = nullptr;
   uint32_t spares_used_ = 0;
   CondVar work_available_;

@@ -124,15 +124,6 @@ bool OrderingGate::Eligible(const GatedRequest& r) const {
   return true;
 }
 
-bool OrderingGate::HasPendingWrite(uint32_t blkno, uint32_t count) const {
-  for (uint32_t b = blkno; b < blkno + count; ++b) {
-    if (pending_writes_by_block_.contains(b)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void OrderingGate::Complete(uint64_t id, IoStatus status) {
   completed_.emplace(id, status);
   auto it = waiters_.find(id);

@@ -27,8 +27,11 @@
 // only completions change the answer. The gate also keeps the completion
 // table the Chains rule reads, with the waiters of BlockDevice::WaitFor.
 //
-// Two owners: the DiskDriver gates its own queue, and a StripedVolume
-// gates volume issue order (its member drivers then run kNone).
+// Three uses: the DiskDriver gates its own queue by the scheme's rules; at
+// queue depth > 1 a second driver gate with Full semantics gates the
+// device's command window, where an ORDERED tag is the flag and the
+// acceptance number the issue index; and a StripedVolume gates volume
+// issue order (its member drivers then run kNone).
 #ifndef MUFS_SRC_DRIVER_ORDERING_GATE_H_
 #define MUFS_SRC_DRIVER_ORDERING_GATE_H_
 
@@ -88,8 +91,6 @@ class OrderingGate {
 
   // Indexed requests (pending or in service).
   size_t PendingCount() const { return pending_indices_.size(); }
-  // True if any indexed write overlaps [blkno, blkno+count).
-  bool HasPendingWrite(uint32_t blkno, uint32_t count) const;
 
   // Completion table: records `id`'s terminal status and wakes its
   // waiters.

@@ -8,36 +8,21 @@ namespace mufs {
 
 // Cache-level hooks: serializes dirty in-core inodes into inode-table
 // buffers just before those buffers are captured for a write, then
-// delegates to the policy's hooks (soft updates undo/redo).
+// forwards every hook to the policy (soft updates undo/redo, journaling's
+// committed images). The policy is set before any I/O.
 class FsBufferHooks final : public DepHooks {
  public:
   explicit FsBufferHooks(FileSystem* fs) : fs_(fs) {}
 
   std::shared_ptr<const BlockData> PrepareWrite(Buf& buf) override {
     fs_->SerializeInodesInto(buf);
-    DepHooks* h = fs_->policy() != nullptr ? fs_->policy()->CacheHooks() : nullptr;
-    return h != nullptr ? h->PrepareWrite(buf) : nullptr;
+    return fs_->policy()->PrepareWrite(buf);
   }
-  void WriteDone(Buf& buf) override {
-    DepHooks* h = fs_->policy() != nullptr ? fs_->policy()->CacheHooks() : nullptr;
-    if (h != nullptr) {
-      h->WriteDone(buf);
-    }
-  }
-  void WriteAborted(Buf& buf) override {
-    // The serialized inode bytes stay in the (re-dirtied) buffer; only
-    // the policy's dependency state needs restoring.
-    DepHooks* h = fs_->policy() != nullptr ? fs_->policy()->CacheHooks() : nullptr;
-    if (h != nullptr) {
-      h->WriteAborted(buf);
-    }
-  }
-  void BufferAccessed(Buf& buf) override {
-    DepHooks* h = fs_->policy() != nullptr ? fs_->policy()->CacheHooks() : nullptr;
-    if (h != nullptr) {
-      h->BufferAccessed(buf);
-    }
-  }
+  void WriteDone(Buf& buf) override { fs_->policy()->WriteDone(buf); }
+  // The serialized inode bytes stay in the (re-dirtied) buffer; only the
+  // policy's dependency state needs restoring.
+  void WriteAborted(Buf& buf) override { fs_->policy()->WriteAborted(buf); }
+  void BufferAccessed(Buf& buf) override { fs_->policy()->BufferAccessed(buf); }
 
  private:
   FileSystem* fs_;

@@ -248,7 +248,7 @@ Task<Result<uint32_t>> FileSystem::Create(Proc& proc, const std::string& path) {
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
 
-  co_await policy_->SetupLinkAdd(proc, *parent, entry.value().buf, entry.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(proc, entry.value().buf, entry.value().offset, *ip,
                                  /*new_inode=*/true);
   stat_creates_->Inc();
   co_return ino.value();
@@ -299,7 +299,7 @@ Task<FsStatus> FileSystem::Mkdir(Proc& proc, const std::string& path) {
   if (!entry.Ok()) {
     co_return entry.status();
   }
-  co_await policy_->SetupLinkAdd(proc, *parent, entry.value().buf, entry.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(proc, entry.value().buf, entry.value().offset, *ip,
                                  /*new_inode=*/true);
   stat_mkdirs_->Inc();
   co_return FsStatus::kOk;
@@ -340,7 +340,7 @@ Task<FsStatus> FileSystem::Link(Proc& proc, const std::string& existing,
   }
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
-  co_await policy_->SetupLinkAdd(proc, *parent, entry.value().buf, entry.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(proc, entry.value().buf, entry.value().offset, *ip,
                                  /*new_inode=*/false);
   co_return FsStatus::kOk;
 }
@@ -377,8 +377,8 @@ Task<FsStatus> FileSystem::Unlink(Proc& proc, const std::string& path) {
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
 
-  co_await policy_->SetupLinkRemove(proc, *parent, buf, loc.value().offset, old_entry,
-                                    loc.value().ino, /*rename=*/nullptr);
+  co_await policy_->SetupLinkRemove(proc, buf, loc.value().offset, old_entry, loc.value().ino,
+                                    /*rename=*/nullptr);
   stat_removes_->Inc();
   co_return FsStatus::kOk;
 }
@@ -429,8 +429,8 @@ Task<FsStatus> FileSystem::Rmdir(Proc& proc, const std::string& path) {
   // let a low link count reach disk before the cleared entry does.
   child_guard.Release();
 
-  co_await policy_->SetupLinkRemove(proc, *parent, buf, loc.value().offset, old_entry,
-                                    loc.value().ino, /*rename=*/nullptr);
+  co_await policy_->SetupLinkRemove(proc, buf, loc.value().offset, old_entry, loc.value().ino,
+                                    /*rename=*/nullptr);
   stat_rmdirs_->Inc();
   co_return FsStatus::kOk;
 }
@@ -491,7 +491,7 @@ Task<FsStatus> FileSystem::Rename(Proc& proc, const std::string& from, const std
   }
   to_dir->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *to_dir);
-  co_await policy_->SetupLinkAdd(proc, *to_dir, added.value().buf, added.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(proc, added.value().buf, added.value().offset, *ip,
                                  /*new_inode=*/false);
 
   // Remove the old name. AddEntry never relocates existing entries, so
@@ -515,8 +515,8 @@ Task<FsStatus> FileSystem::Rename(Proc& proc, const std::string& from, const std
   }
 
   OrderingPolicy::RenameContext rctx{added.value().buf, added.value().offset, ip->ino};
-  co_await policy_->SetupLinkRemove(proc, *from_dir, old_buf, src.value().offset, old_entry,
-                                    ip->ino, &rctx);
+  co_await policy_->SetupLinkRemove(proc, old_buf, src.value().offset, old_entry, ip->ino,
+                                    &rctx);
   stat_renames_->Inc();
   co_return FsStatus::kOk;
 }

@@ -9,9 +9,9 @@
 //   3. link addition                           -> SetupLinkAdd
 //   4. link removal                            -> SetupLinkRemove
 //
-// plus the rename rule-1 fence (SetupRenameFence) and inode free
-// (SetupInodeFree). Each of the five schemes implements the hooks with
-// its own write discipline:
+// plus the rename rule-1 fence (SetupLinkRemove with a RenameContext)
+// and inode free (SetupInodeFree). Each of the seven schemes implements
+// the hooks with its own write discipline:
 //
 //   NoOrder       : mark things dirty, nothing else (unsafe baseline).
 //   Conventional  : synchronous writes at each point.
@@ -20,6 +20,14 @@
 //                   plus freed-resource tracking for safe re-use.
 //   SoftUpdates   : delayed writes plus fine-grained dependency records
 //                   with undo/redo (see src/core/softupdates/).
+//   Journaling    : metadata captured into write-ahead log transactions
+//                   (see src/journal/).
+//   Async         : delayed writes behind a visibility/durability ledger
+//                   (see src/async/).
+//
+// A policy is also the buffer cache's DepHooks: the file system forwards
+// every cache hook to it. The defaults are no-ops; soft updates rolls
+// updates back and forward, journaling substitutes committed images.
 //
 // Hooks that "eventually" free resources or drop link counts own that
 // responsibility: most schemes do it inline; soft updates defers it to
@@ -64,7 +72,7 @@ struct PtrLoc {
   BufRef indirect_buf;  // Set for kIndirectSlot.
 };
 
-class OrderingPolicy {
+class OrderingPolicy : public DepHooks {
  public:
   virtual ~OrderingPolicy() = default;
   virtual std::string_view Name() const = 0;
@@ -72,9 +80,6 @@ class OrderingPolicy {
   // Called once after the policy is attached to a mounted file system.
   // Also binds the policy's metric handles to the file system's registry.
   virtual void Attach(FileSystem* fs);
-
-  // Buffer-cache dependency hooks (only soft updates uses them).
-  virtual DepHooks* CacheHooks() { return nullptr; }
 
   // True if in-core inode changes should be copied into the inode-table
   // buffer at modification time (waiting out write locks, section 3.3's
@@ -103,8 +108,8 @@ class OrderingPolicy {
   // points to `target` (nlink already bumped in-core; brand-new inodes
   // are fully initialized in-core). Rule 3: the inode must reach disk
   // before the entry.
-  virtual Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                                  Inode& target, bool new_inode) = 0;
+  virtual Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
+                                  bool new_inode) = 0;
 
   // (4) Link removal: the entry at `offset` in `dir_buf` (which pointed
   // to `removed_ino`; pre-clear bytes in `old_entry`) was just cleared
@@ -120,7 +125,7 @@ class OrderingPolicy {
     uint32_t new_offset = 0;
     uint32_t moved_ino = 0;
   };
-  virtual Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
+  virtual Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
                                      DirEntry old_entry, uint32_t removed_ino,
                                      const RenameContext* rename) = 0;
 

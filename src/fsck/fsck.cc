@@ -330,12 +330,17 @@ FsckReport FsckChecker::Check(PfsckStats* stats) {
       report.fixables.push_back({"ino " + std::to_string(ino) + " in use but free in bitmap"});
     }
   }
+  // Reported in ascending block order, not block_owner_'s hash order.
+  std::vector<uint32_t> unmarked;
   for (const auto& [blkno, owner] : block_owner_) {
     const BlockData& bm = region_.View(sb_.block_bitmap_start + blkno / kBitsPerBlock);
     if (!BitmapGet(bm.data(), blkno % kBitsPerBlock)) {
-      report.fixables.push_back(
-          {"block " + std::to_string(blkno) + " in use but free in bitmap"});
+      unmarked.push_back(blkno);
     }
+  }
+  std::sort(unmarked.begin(), unmarked.end());
+  for (uint32_t blkno : unmarked) {
+    report.fixables.push_back({"block " + std::to_string(blkno) + " in use but free in bitmap"});
   }
   clock.Lap(&PfsckStats::audit_ns);
   return report;

@@ -81,9 +81,9 @@ Task<void> JournalPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint
   }
 }
 
-Task<void> JournalPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                                       Inode& target, bool new_inode) {
-  (void)dir;
+Task<void> JournalPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
+                                       bool new_inode) {
+  (void)proc;
   (void)offset;
   (void)target;  // Captured via NoteInodeUpdate when it was initialized.
   NoteOrderingPoint("link_add", "logged");
@@ -93,10 +93,9 @@ Task<void> JournalPolicy::SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, u
   }
 }
 
-Task<void> JournalPolicy::SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
+Task<void> JournalPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
                                           DirEntry old_entry, uint32_t removed_ino,
                                           const RenameContext* rename) {
-  (void)dir;
   (void)offset;
   (void)old_entry;
   NoteOrderingPoint("link_remove", "logged");

@@ -16,15 +16,14 @@
 
 namespace mufs {
 
-class JournalPolicy : public OrderingPolicy, public DepHooks {
+class JournalPolicy : public OrderingPolicy {
  public:
   explicit JournalPolicy(JournalManager* jm) : jm_(jm) {}
 
   std::string_view Name() const override { return "Journaling"; }
-  DepHooks* CacheHooks() override { return this; }
   bool WriteThroughInodes() const override { return true; }
 
-  // DepHooks: substitute the committed image for every in-place write of
+  // Cache hook: substitute the committed image for every in-place write of
   // a journal-managed block. Uncommitted updates live only in memory and
   // in the log.
   std::shared_ptr<const BlockData> PrepareWrite(Buf& buf) override;
@@ -34,11 +33,10 @@ class JournalPolicy : public OrderingPolicy, public DepHooks {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset, Inode& target,
+  Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
                           bool new_inode) override;
-  Task<void> SetupLinkRemove(Proc& proc, Inode& dir, BufRef dir_buf, uint32_t offset,
-                             DirEntry old_entry, uint32_t removed_ino,
-                             const RenameContext* rename) override;
+  Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
+                             uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
   Task<void> FlushAll(Proc& proc) override;
 

@@ -18,14 +18,10 @@ Engine::~Engine() {
   processes_.clear();
 }
 
-uint64_t Engine::Schedule(SimDuration delay, std::function<void()> fn) {
+void Engine::Schedule(SimDuration delay, std::function<void()> fn) {
   assert(delay >= 0);
-  uint64_t id = next_seq_++;
-  queue_.push(Event{now_ + delay, id, std::move(fn)});
-  return id;
+  queue_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
 }
-
-void Engine::Cancel(uint64_t id) { cancelled_.insert(id); }
 
 namespace {
 
@@ -61,19 +57,16 @@ ProcessRef Engine::Spawn(Task<void> task, std::string name) {
 }
 
 bool Engine::PopAndRun() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    if (cancelled_.erase(ev.seq) > 0) {
-      continue;
-    }
-    assert(ev.time >= now_);
-    now_ = ev.time;
-    ++events_processed_;
-    ev.fn();
-    return true;
+  if (queue_.empty()) {
+    return false;
   }
-  return false;
+  Event ev = queue_.top();
+  queue_.pop();
+  assert(ev.time >= now_);
+  now_ = ev.time;
+  ++events_processed_;
+  ev.fn();
+  return true;
 }
 
 void Engine::ReapFinished() {

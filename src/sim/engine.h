@@ -13,7 +13,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -64,10 +63,8 @@ class Engine {
 
   SimTime Now() const { return now_; }
 
-  // Schedules a callback to run at Now() + delay. Returns an id usable
-  // with Cancel().
-  uint64_t Schedule(SimDuration delay, std::function<void()> fn);
-  void Cancel(uint64_t id);
+  // Schedules a callback to run at Now() + delay.
+  void Schedule(SimDuration delay, std::function<void()> fn);
 
   // Awaitable: suspend the current coroutine for `delay`.
   auto Sleep(SimDuration delay) {
@@ -115,7 +112,6 @@ class Engine {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::unordered_set<uint64_t> cancelled_;
   std::vector<std::shared_ptr<ProcessState>> processes_;
 };
 

@@ -88,9 +88,6 @@ class StripedVolume : public BlockDevice {
   IoStatus CompletionStatus(uint64_t id) const override { return gate_.CompletionStatus(id); }
   size_t PendingCount() const override { return gate_.PendingCount(); }
   Task<void> Drain() override;
-  bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const override {
-    return gate_.HasPendingWrite(blkno, count);
-  }
 
   const VolumeLayout& layout() const { return config_.layout; }
   size_t HeldCount() const { return held_.size(); }  // Gated, not yet forwarded.
@@ -153,10 +150,6 @@ class ShardDevice : public BlockDevice {
   }
   size_t PendingCount() const override { return outstanding_; }
   Task<void> Drain() override;
-  bool HasPendingWrite(uint32_t blkno, uint32_t count = 1) const override {
-    // Shard regions are disjoint, so the volume-wide check is exact.
-    return volume_->HasPendingWrite(base_ + blkno, count);
-  }
 
   uint32_t base() const { return base_; }
 

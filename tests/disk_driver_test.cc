@@ -2,6 +2,7 @@
 // discipline from the paper's section 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,14 +25,16 @@ std::shared_ptr<const BlockData> MakeBlock(uint8_t fill) {
 
 // Small fixture wiring an engine, model, image and driver together. The
 // driver shares an external registry with tracing on, so tests read its
-// behaviour back from the JSONL trace.
+// behaviour back from the JSONL trace. `queue_depth` > 1 turns on the
+// device's tagged command queue.
 struct Rig {
-  explicit Rig(OrderingRules rules = {})
+  explicit Rig(OrderingRules rules = {}, uint32_t queue_depth = 1)
       : model(DiskGeometry{}), image(DiskGeometry{}.total_blocks) {
     stats.SetClock([this] { return engine.Now(); });
     stats.EnableTrace();
     DriverConfig cfg;
     cfg.ordering = rules;
+    cfg.queue_depth = queue_depth;
     driver = std::make_unique<DiskDriver>(&engine, &model, &image, &stats, cfg);
   }
   Engine engine;
@@ -476,14 +479,105 @@ TEST(DriverTracePropertyTest, ConcatNeverMergesOntoChainDependency) {
   EXPECT_EQ(chain_services, 2);
 }
 
-TEST(DriverTraceTest, HasPendingWriteSeesQueuedRange) {
-  Rig rig{OrderingRules{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart}};
-  rig.Write(5000, 1, OrderingTag{.flag = true, .deps = {}});
-  rig.Write(600, 2);
-  EXPECT_TRUE(rig.driver->HasPendingWrite(600));
-  EXPECT_FALSE(rig.driver->HasPendingWrite(601));
+// ---------------------------------------------------------------------
+// Tagged command queueing: the driver dispatches requests in issue order
+// into a device window of kDepth commands, and the device serves the one
+// with the least positioning cost among those its tags and the overlap
+// rule allow.
+// ---------------------------------------------------------------------
+
+constexpr uint32_t kDepth = 8;
+constexpr OrderingRules kFlagPart{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart};
+
+// Writes 5000, 100, 4990 into the window, with 100 optionally flagged
+// (an ORDERED tag), and returns the service order.
+std::vector<uint32_t> ServiceOrderAroundBarrier(bool barrier) {
+  Rig rig{kFlagPart, kDepth};
+  rig.Write(5000, 1);
+  rig.Write(100, 2, OrderingTag{.flag = barrier, .deps = {}});
+  rig.Write(4990, 3);
   rig.engine.Run();
-  EXPECT_FALSE(rig.driver->HasPendingWrite(600));
+  EXPECT_EQ(rig.stats.counter("disk.tag_ordered").value(), barrier ? 1u : 0u);
+  return CompletionBlocks(rig);
+}
+
+TEST(DriverQueueingTest, OrderedTagIsABidirectionalBarrier) {
+  // Untagged, the device serves by position and 5000 is not first.
+  std::vector<uint32_t> free_order = ServiceOrderAroundBarrier(false);
+  ASSERT_EQ(free_order.size(), 3u);
+  EXPECT_NE(free_order.front(), 5000u);
+  // The ORDERED write at 100 waits for every earlier accepted command
+  // (5000) and holds every later one (4990).
+  EXPECT_EQ(ServiceOrderAroundBarrier(true), (std::vector<uint32_t>{5000, 100, 4990}));
+}
+
+TEST(DriverQueueingTest, OverlappingWritesKeepAcceptanceOrder) {
+  Rig rig{{}, kDepth};
+  // The later write starts one block earlier, so it is the cheaper pick
+  // from the start position, but it overlaps block 9000 of the first.
+  ASSERT_LT(rig.model.PositioningCost(true, 8999, 2, 0),
+            rig.model.PositioningCost(true, 9000, 4, 0));
+  rig.driver->IssueWrite(9000, {MakeBlock(1), MakeBlock(1), MakeBlock(1), MakeBlock(1)});
+  rig.driver->IssueWrite(8999, {MakeBlock(2), MakeBlock(2)});
+  rig.engine.Run();
+  EXPECT_EQ(CompletionBlocks(rig), (std::vector<uint32_t>{9000, 8999}));
+  BlockData d;
+  rig.image.Read(9000, &d);
+  EXPECT_EQ(d[0], 2) << "the later write must land last";
+}
+
+TEST(DriverQueueingTest, PicksByPositioningCostAmongSimpleTags) {
+  Rig rig{{}, kDepth};  // Head starts at cylinder 0.
+  uint32_t far = DiskGeometry{}.total_blocks - 10;
+  rig.Write(far, 1);
+  rig.Write(1, 2);
+  rig.engine.Run();
+  EXPECT_EQ(CompletionBlocks(rig), (std::vector<uint32_t>{1, far}));
+  // Only the first pick passes an earlier accepted command.
+  EXPECT_EQ(rig.stats.counter("disk.rpo_picks").value(), 1u);
+}
+
+TEST(DriverQueueingTest, AllOrderedWindowDrainsInAcceptanceOrder) {
+  Rig rig{kFlagPart, kDepth};
+  // A full window of ORDERED writes to one track, in descending block
+  // order (neither the rotational nor the C-LOOK order): the oldest is
+  // always eligible.
+  std::vector<uint32_t> blocks;
+  for (uint32_t i = 0; i < kDepth; ++i) {
+    blocks.push_back(kDepth - 1 - i);
+    rig.Write(blocks.back(), 1, OrderingTag{.flag = true, .deps = {}});
+  }
+  rig.engine.Run();
+  EXPECT_EQ(CompletionBlocks(rig), blocks);
+  EXPECT_EQ(rig.stats.counter("disk.tag_ordered").value(), kDepth);
+  EXPECT_EQ(rig.stats.counter("disk.rpo_picks").value(), 0u);
+  EXPECT_EQ(rig.driver->DeviceQueueSize(), 0u);
+}
+
+TEST(DriverQueueingTest, DeviceQueueNeverExceedsDepth) {
+  Rig rig{{}, kDepth};
+  size_t max_seen = 0;
+  for (uint32_t i = 0; i < 3 * kDepth; ++i) {
+    // 50 blocks apart, so nothing concatenates.
+    rig.driver->IssueWrite(1000 + 50 * i, {MakeBlock(1)}, {}, [&](IoStatus) {
+      max_seen = std::max(max_seen, rig.driver->DeviceQueueSize());
+    });
+  }
+  rig.engine.Run();
+  int accepts = 0;
+  int64_t max_dq = 0;
+  for (const std::string& line : rig.stats.trace_lines()) {
+    if (IsEvent(line, "disk.accept")) {
+      ++accepts;
+      EXPECT_EQ(Field(line, "seq"), accepts) << "acceptance numbers follow issue order";
+      max_dq = std::max(max_dq, Field(line, "dq"));
+    }
+  }
+  EXPECT_EQ(accepts, static_cast<int>(3 * kDepth));
+  EXPECT_EQ(max_dq, kDepth);
+  EXPECT_LE(max_seen, kDepth);
+  EXPECT_EQ(rig.stats.gauge("disk.device_queue").max(), kDepth);
+  EXPECT_EQ(rig.driver->DeviceQueueSize(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Device command-queue tests: DeviceQueue tag/overlap semantics in
-// isolation, plus trace-replay property tests over whole-machine runs at
-// queue depth {4, 16}:
+// Device command-queue tests: trace-replay property tests over
+// whole-machine runs at queue depth {4, 16} (the tag and overlap rules on
+// hand-built windows are in disk_driver_test's DriverQueueingTest):
 //
 //   (a) an ORDERED tag is never serviced while any earlier-accepted
 //       command is still pending, and nothing is serviced past a pending
@@ -17,94 +17,10 @@
 
 #include "gtest/gtest.h"
 #include "src/core/machine.h"
-#include "src/disk/device_queue.h"
 #include "src/workload/workloads.h"
 
 namespace mufs {
 namespace {
-
-// ---------------------------------------------------------------------
-// DeviceQueue unit tests
-// ---------------------------------------------------------------------
-
-TEST(DeviceQueueTest, AcceptAssignsSequencesAndTracksCapacity) {
-  DeviceQueue q(2);
-  EXPECT_TRUE(q.Empty());
-  EXPECT_FALSE(q.Full());
-  uint64_t a = q.Accept(TagKind::kSimple, true, 10, 1, nullptr);
-  uint64_t b = q.Accept(TagKind::kSimple, true, 20, 1, nullptr);
-  EXPECT_LT(a, b);
-  EXPECT_TRUE(q.Full());
-  EXPECT_EQ(q.OldestSeq(), a);
-  q.Remove(a);
-  EXPECT_EQ(q.Size(), 1u);
-  EXPECT_EQ(q.OldestSeq(), b);
-}
-
-TEST(DeviceQueueTest, OrderedTagIsABidirectionalBarrier) {
-  DiskGeometry geom;
-  DiskModel model(geom);
-  DeviceQueue q(8);
-  uint64_t a = q.Accept(TagKind::kSimple, true, 5000, 1, nullptr);
-  uint64_t b = q.Accept(TagKind::kOrdered, true, 1, 1, nullptr);
-  uint64_t c = q.Accept(TagKind::kSimple, true, 2, 1, nullptr);
-  (void)c;
-  // b waits for a; c waits for b. Only a is eligible, whatever it costs.
-  const DeviceCommand* pick = q.PickNext(model, 0);
-  ASSERT_NE(pick, nullptr);
-  EXPECT_EQ(pick->seq, a);
-  q.Remove(a);
-  // Now the barrier itself runs, still ahead of the cheap simple command.
-  pick = q.PickNext(model, 0);
-  ASSERT_NE(pick, nullptr);
-  EXPECT_EQ(pick->seq, b);
-}
-
-TEST(DeviceQueueTest, OverlappingWritesKeepAcceptanceOrder) {
-  DiskGeometry geom;
-  DiskModel model(geom);
-  DeviceQueue q(8);
-  uint64_t a = q.Accept(TagKind::kSimple, true, 9000, 4, nullptr);
-  uint64_t b = q.Accept(TagKind::kSimple, true, 9002, 1, nullptr);  // Overlaps a.
-  const DeviceCommand* pick = q.PickNext(model, 0);
-  ASSERT_NE(pick, nullptr);
-  EXPECT_EQ(pick->seq, a) << "an overlapping later write must not pass the earlier one";
-  q.Remove(a);
-  pick = q.PickNext(model, 0);
-  ASSERT_NE(pick, nullptr);
-  EXPECT_EQ(pick->seq, b);
-}
-
-TEST(DeviceQueueTest, PicksByPositioningCostAmongSimpleTags) {
-  DiskGeometry geom;
-  DiskModel model(geom);  // Head starts at cylinder 0.
-  DeviceQueue q(8);
-  uint64_t far = q.Accept(TagKind::kSimple, true, geom.total_blocks - 10, 1, nullptr);
-  uint64_t near = q.Accept(TagKind::kSimple, true, 1, 1, nullptr);
-  (void)far;
-  const DeviceCommand* pick = q.PickNext(model, 0);
-  ASSERT_NE(pick, nullptr);
-  EXPECT_EQ(pick->seq, near) << "RPO must prefer the request with the cheaper positioning";
-}
-
-TEST(DeviceQueueTest, OldestCommandIsAlwaysEligible) {
-  DiskGeometry geom;
-  DiskModel model(geom);
-  DeviceQueue q(8);
-  // Worst case: every command ordered. The queue must still drain.
-  std::vector<uint64_t> seqs;
-  for (int i = 0; i < 8; ++i) {
-    seqs.push_back(q.Accept(TagKind::kOrdered, true, 100 * i, 1, nullptr));
-  }
-  for (uint64_t expect : seqs) {
-    const DeviceCommand* pick = q.PickNext(model, 0);
-    ASSERT_NE(pick, nullptr);
-    EXPECT_EQ(pick->seq, expect);
-    q.Remove(pick->seq);
-  }
-  EXPECT_TRUE(q.Empty());
-  EXPECT_EQ(q.PickNext(model, 0), nullptr);
-}
 
 // ---------------------------------------------------------------------
 // Trace replay over whole-machine runs

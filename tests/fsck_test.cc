@@ -349,18 +349,30 @@ TEST(FsckTest, BitmapMismatchesAreFixable) {
   Img img;
   SuperBlock sb = img.sb();
   uint32_t blk = sb.data_start + 40;
-  img.MakeFile(5, 1, {blk});
+  img.MakeFile(5, 1, {blk + 9, blk, blk + 30, blk + 2});
   img.AddRootEntry("f", 5, sb.data_start + 1);
-  // Neither the inode nor the block is marked in the bitmaps.
+  // Neither the inode nor the blocks are marked in the bitmaps.
   FsckReport r = FsckChecker(&img.image).Check();
   EXPECT_TRUE(r.Clean());
   int bitmap_findings = 0;
+  std::vector<std::string> block_findings;
   for (const auto& f : r.fixables) {
     if (f.detail.find("bitmap") != std::string::npos) {
       ++bitmap_findings;
     }
+    if (f.detail.starts_with("block ")) {
+      block_findings.push_back(f.detail);
+    }
   }
   EXPECT_GE(bitmap_findings, 2);
+  // The block findings (the root directory's new block and the file's
+  // four) come in block order, not in the hash order of the checker's
+  // claim table.
+  std::vector<std::string> ascending;
+  for (uint32_t b : {sb.data_start + 1, blk, blk + 2, blk + 9, blk + 30}) {
+    ascending.push_back("block " + std::to_string(b) + " in use but free in bitmap");
+  }
+  EXPECT_EQ(block_findings, ascending);
 }
 
 // --- repair accounting, convergence, and shard-region stale tags -----

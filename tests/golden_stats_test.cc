@@ -1,8 +1,8 @@
-// Golden-stats regression test: the full DumpStatsJson output of a fixed
-// zero-fault workload (Conventional and Soft Updates, machine seed 42)
-// must match the checked-in JSON byte for byte. This pins the whole
-// deterministic counter surface — any unintended behaviour change in the
-// driver, cache, policies or stats layer shows up as a golden diff.
+// Golden-stats regression test: the full DumpStatsJson output of fixed
+// zero-fault workloads (machine seed 42) must match the checked-in JSON
+// byte for byte. This pins the whole deterministic counter surface — any
+// unintended behaviour change in the driver, cache, policies or stats
+// layer shows up as a golden diff.
 //
 // To regenerate after an INTENTIONAL change:
 //   MUFS_REGEN_GOLDEN=1 ./golden_stats_test && git diff tests/golden/
@@ -28,36 +28,9 @@ bool RegenMode() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-// A reduced 2-user copy workload: big enough to exercise every scheme
-// mechanism (allocation, directory growth, syncer flushes, ordering),
-// small enough to keep tier 1 fast. `disks` > 1 runs it on a striped
-// sharded machine; 1 pins the single-disk path (and must produce stats
-// byte-identical to a config that never mentions disks at all).
-std::string RunGoldenWorkload(Scheme scheme, uint32_t disks = 1) {
-  TreeGenOptions opts;
-  opts.file_count = 30;
-  opts.total_bytes = 300'000;
-  opts.dir_count = 6;
-  TreeSpec tree = GenerateTree(opts);
-
-  MachineConfig cfg;
-  cfg.scheme = scheme;
-  cfg.disks = disks;
-  Machine m(cfg);
-  SetupFn setup = [&tree](Machine& mm, Proc& p) -> Task<void> {
-    FsStatus s = co_await PopulateTree(mm, p, tree, "/src");
-    EXPECT_EQ(s, FsStatus::kOk);
-  };
-  UserFn body = [&tree](Machine& mm, Proc& p, int u) -> Task<void> {
-    FsStatus s = co_await CopyTree(mm, p, tree, "/src", "/copy" + std::to_string(u));
-    EXPECT_EQ(s, FsStatus::kOk);
-  };
-  RunMeasurement meas = RunMultiUser(m, 2, setup, body);
-  return meas.stats_json;
-}
-
-void CheckGolden(Scheme scheme, const std::string& file, uint32_t disks = 1) {
-  std::string actual = RunGoldenWorkload(scheme, disks);
+// Compares `actual` with the golden file byte for byte (or rewrites the
+// file in regeneration mode).
+void CheckNamedGolden(const std::string& actual, const std::string& file) {
   ASSERT_FALSE(actual.empty());
   std::string path = GoldenPath(file);
   if (RegenMode()) {
@@ -77,8 +50,38 @@ void CheckGolden(Scheme scheme, const std::string& file, uint32_t disks = 1) {
     expected.pop_back();
   }
   EXPECT_EQ(actual, expected)
-      << "golden stats drifted for " << SchemeName(scheme)
+      << "golden stats drifted for " << file
       << "; if the change is intentional, regenerate with MUFS_REGEN_GOLDEN=1";
+}
+
+// A reduced 2-user copy workload: big enough to exercise every scheme
+// mechanism (allocation, directory growth, syncer flushes, ordering),
+// small enough to keep tier 1 fast. `disks` > 1 runs it on a striped
+// sharded machine; 1 pins the single-disk path (and must produce stats
+// byte-identical to a config that never mentions disks at all).
+// `queue_depth` > 1 turns on the device's tagged command queue.
+std::string RunGoldenWorkload(Scheme scheme, uint32_t disks = 1, uint32_t queue_depth = 1) {
+  TreeGenOptions opts;
+  opts.file_count = 30;
+  opts.total_bytes = 300'000;
+  opts.dir_count = 6;
+  TreeSpec tree = GenerateTree(opts);
+
+  MachineConfig cfg;
+  cfg.scheme = scheme;
+  cfg.disks = disks;
+  cfg.queue_depth = queue_depth;
+  Machine m(cfg);
+  SetupFn setup = [&tree](Machine& mm, Proc& p) -> Task<void> {
+    FsStatus s = co_await PopulateTree(mm, p, tree, "/src");
+    EXPECT_EQ(s, FsStatus::kOk);
+  };
+  UserFn body = [&tree](Machine& mm, Proc& p, int u) -> Task<void> {
+    FsStatus s = co_await CopyTree(mm, p, tree, "/src", "/copy" + std::to_string(u));
+    EXPECT_EQ(s, FsStatus::kOk);
+  };
+  RunMeasurement meas = RunMultiUser(m, 2, setup, body);
+  return meas.stats_json;
 }
 
 // Same tree and runner shapes for the Async remove/Andrew/Sdet goldens:
@@ -143,27 +146,8 @@ std::string RunSdetGoldenWorkload(Scheme scheme) {
   return meas.stats_json;
 }
 
-void CheckNamedGolden(const std::string& actual, const std::string& file) {
-  ASSERT_FALSE(actual.empty());
-  std::string path = GoldenPath(file);
-  if (RegenMode()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual << "\n";
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — run with MUFS_REGEN_GOLDEN=1 to create it";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string expected = buf.str();
-  if (!expected.empty() && expected.back() == '\n') {
-    expected.pop_back();
-  }
-  EXPECT_EQ(actual, expected)
-      << "golden stats drifted for " << file
-      << "; if the change is intentional, regenerate with MUFS_REGEN_GOLDEN=1";
+void CheckGolden(Scheme scheme, const std::string& file, uint32_t disks = 1) {
+  CheckNamedGolden(RunGoldenWorkload(scheme, disks), file);
 }
 
 TEST(GoldenStatsTest, ConventionalCopyStatsMatchGolden) {
@@ -233,6 +217,31 @@ TEST(GoldenStatsTest, SchedulerChainsCopyTwoDiskStatsMatchGolden) {
               /*disks=*/2);
 }
 
+// --- Tagged command-queue goldens: the device window at depth > 1, where
+// ORDERED tags (Flag) and rotational-position picks (both) decide the
+// service order. Each run must exercise what it pins, or the golden
+// would hold the queueing path by accident only.
+
+// Reads one counter out of a DumpStatsJson string (-1 if absent).
+int64_t CounterIn(const std::string& json, const std::string& name) {
+  std::string needle = "\"" + name + "\":";
+  size_t pos = json.find(needle);
+  return pos == std::string::npos ? -1 : std::atoll(json.c_str() + pos + needle.size());
+}
+
+TEST(GoldenStatsTest, SchedulerFlagCopyQueueDepth16StatsMatchGolden) {
+  std::string actual = RunGoldenWorkload(Scheme::kSchedulerFlag, /*disks=*/1, /*queue_depth=*/16);
+  EXPECT_GT(CounterIn(actual, "disk.tag_ordered"), 0);
+  EXPECT_GT(CounterIn(actual, "disk.rpo_picks"), 0);
+  CheckNamedGolden(actual, "scheduler_flag_copy_qd16_seed42.json");
+}
+
+TEST(GoldenStatsTest, NoOrderCopyQueueDepth4StatsMatchGolden) {
+  std::string actual = RunGoldenWorkload(Scheme::kNoOrder, /*disks=*/1, /*queue_depth=*/4);
+  EXPECT_GT(CounterIn(actual, "disk.rpo_picks"), 0);
+  CheckNamedGolden(actual, "no_order_copy_qd4_seed42.json");
+}
+
 // --- Workload personality goldens: the zero-fault stats surface of each
 // personality, pinned byte-for-byte on one representative scheme each so
 // the four of them jointly cover most scheme mechanisms.
@@ -260,27 +269,7 @@ std::string RunPersonalityGolden(Scheme scheme, PersonalityFn fn) {
 }
 
 void CheckPersonalityGolden(Scheme scheme, PersonalityFn fn, const std::string& file) {
-  std::string actual = RunPersonalityGolden(scheme, fn);
-  ASSERT_FALSE(actual.empty());
-  std::string path = GoldenPath(file);
-  if (RegenMode()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual << "\n";
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — run with MUFS_REGEN_GOLDEN=1 to create it";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string expected = buf.str();
-  if (!expected.empty() && expected.back() == '\n') {
-    expected.pop_back();
-  }
-  EXPECT_EQ(actual, expected)
-      << "golden stats drifted for " << file
-      << "; if the change is intentional, regenerate with MUFS_REGEN_GOLDEN=1";
+  CheckNamedGolden(RunPersonalityGolden(scheme, fn), file);
 }
 
 TEST(GoldenStatsTest, MailServerStatsMatchGolden) {

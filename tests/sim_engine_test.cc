@@ -46,15 +46,6 @@ TEST(EngineTest, TiesBreakInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EngineTest, CancelPreventsExecution) {
-  Engine e;
-  bool ran = false;
-  uint64_t id = e.Schedule(Msec(1), [&] { ran = true; });
-  e.Cancel(id);
-  e.Run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(EngineTest, RunUntilBoundStopsClock) {
   Engine e;
   int count = 0;
