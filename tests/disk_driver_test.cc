@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/disk/disk_image.h"
@@ -552,6 +554,41 @@ TEST(DriverQueueingTest, AllOrderedWindowDrainsInAcceptanceOrder) {
   EXPECT_EQ(rig.stats.counter("disk.tag_ordered").value(), kDepth);
   EXPECT_EQ(rig.stats.counter("disk.rpo_picks").value(), 0u);
   EXPECT_EQ(rig.driver->DeviceQueueSize(), 0u);
+}
+
+// Returns {ORDERED, SIMPLE} tag counts after `issue` runs on a window
+// of kDepth commands under `rules`.
+std::pair<uint64_t, uint64_t> DeviceTags(OrderingRules rules,
+                                         const std::function<void(Rig&)>& issue) {
+  Rig rig{rules, kDepth};
+  issue(rig);
+  rig.engine.Run();
+  return {rig.stats.counter("disk.tag_ordered").value(),
+          rig.stats.counter("disk.tag_simple").value()};
+}
+
+TEST(DriverQueueingTest, OrderedTagOnlyForFlagsAndDependencies) {
+  using Tags = std::pair<uint64_t, uint64_t>;
+  // Flag: the flagged write is ORDERED, the plain one SIMPLE.
+  EXPECT_EQ(DeviceTags(kFlagPart,
+                       [](Rig& rig) {
+                         rig.Write(100, 1, OrderingTag{.flag = true, .deps = {}});
+                         rig.Write(5000, 2);
+                       }),
+            Tags(1, 1));
+  // Chains: the write with a dependency is ORDERED, its dependency SIMPLE.
+  EXPECT_EQ(DeviceTags(OrderingRules{.mode = OrderingMode::kChains},
+                       [](Rig& rig) {
+                         uint64_t first = rig.Write(100, 1);
+                         rig.Write(5000, 2, OrderingTag{.flag = false, .deps = {first}});
+                       }),
+            Tags(1, 1));
+  // None (the Ignore datapoint): a flagged write is SIMPLE.
+  EXPECT_EQ(DeviceTags(OrderingRules{.mode = OrderingMode::kNone},
+                       [](Rig& rig) {
+                         rig.Write(100, 1, OrderingTag{.flag = true, .deps = {}});
+                       }),
+            Tags(0, 1));
 }
 
 TEST(DriverQueueingTest, DeviceQueueNeverExceedsDepth) {

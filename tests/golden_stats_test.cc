@@ -84,10 +84,10 @@ std::string RunGoldenWorkload(Scheme scheme, uint32_t disks = 1, uint32_t queue_
   return meas.stats_json;
 }
 
-// Same tree and runner shapes for the Async remove/Andrew/Sdet goldens:
-// each returns the full DumpStatsJson of one deterministic run.
+// Same tree and runner shapes for the remove/Andrew/Sdet goldens: each
+// returns the full DumpStatsJson of one deterministic run.
 
-std::string RunRemoveGoldenWorkload(Scheme scheme) {
+std::string RunRemoveGoldenWorkload(Scheme scheme, uint32_t queue_depth = 1) {
   TreeGenOptions opts;
   opts.file_count = 30;
   opts.total_bytes = 300'000;
@@ -96,6 +96,7 @@ std::string RunRemoveGoldenWorkload(Scheme scheme) {
 
   MachineConfig cfg;
   cfg.scheme = scheme;
+  cfg.queue_depth = queue_depth;
   Machine m(cfg);
   SetupFn setup = [&tree](Machine& mm, Proc& p) -> Task<void> {
     for (int u = 0; u < 2; ++u) {
@@ -242,6 +243,21 @@ TEST(GoldenStatsTest, NoOrderCopyQueueDepth4StatsMatchGolden) {
   CheckNamedGolden(actual, "no_order_copy_qd4_seed42.json");
 }
 
+// Chains' dependency lists become ORDERED tags in the device window.
+TEST(GoldenStatsTest, SchedulerChainsRemoveQueueDepth16StatsMatchGolden) {
+  std::string actual =
+      RunRemoveGoldenWorkload(Scheme::kSchedulerChains, /*queue_depth=*/16);
+  EXPECT_GT(CounterIn(actual, "disk.tag_ordered"), 0);
+  CheckNamedGolden(actual, "scheduler_chains_remove_qd16_seed42.json");
+}
+
+// No Order's removal hooks (link removal, block and inode frees).
+TEST(GoldenStatsTest, NoOrderRemoveStatsMatchGolden) {
+  std::string actual = RunRemoveGoldenWorkload(Scheme::kNoOrder);
+  EXPECT_GT(CounterIn(actual, "policy.inode_free"), 0);
+  CheckNamedGolden(actual, "no_order_remove_seed42.json");
+}
+
 // --- Workload personality goldens: the zero-fault stats surface of each
 // personality, pinned byte-for-byte on one representative scheme each so
 // the four of them jointly cover most scheme mechanisms.
@@ -285,6 +301,14 @@ TEST(GoldenStatsTest, BuildFarmStatsMatchGolden) {
 TEST(GoldenStatsTest, WebAssetSwapStatsMatchGolden) {
   CheckPersonalityGolden(Scheme::kSchedulerFlag, &WebAssetSwapWorkload,
                          "web_asset_scheduler_flag_seed42.json");
+}
+
+// Conventional's rename fence: the new entry's synchronous write before
+// the old entry is cleared.
+TEST(GoldenStatsTest, WebAssetSwapConventionalStatsMatchGolden) {
+  std::string actual = RunPersonalityGolden(Scheme::kConventional, &WebAssetSwapWorkload);
+  EXPECT_GT(CounterIn(actual, "policy.rename_fence"), 0);
+  CheckNamedGolden(actual, "web_asset_conventional_seed42.json");
 }
 
 TEST(GoldenStatsTest, CacheCleanupStatsMatchGolden) {
