@@ -230,7 +230,7 @@ uint64_t BufferCache::IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer) 
   // Keep the buffer alive until the interrupt handler runs. The handler
   // must check the status: completion does not imply the bytes reached
   // the disk.
-  uint64_t id = driver_->IssueWrite(
+  return driver_->IssueWrite(
       buf->blkno_, {std::move(io_src)}, std::move(tag), [this, buf, made_copy](IoStatus status) {
         buf->io_locked_ = false;
         buf->writes_in_flight_--;
@@ -257,8 +257,6 @@ uint64_t BufferCache::IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer) 
         buf->rolled_back_ = false;
         buf->io_cv_.NotifyAll();
       });
-  buf->last_write_req_ = id;
-  return id;
 }
 
 Task<IoStatus> BufferCache::Bwrite(BufRef buf, OrderingTag tag) {

@@ -95,7 +95,6 @@ class Buf {
   bool read_failed_ = false;   // Fill read failed; buffer is being dropped
                                // and concurrent waiters must bail out.
   bool syncer_mark_ = false;  // Marked on the previous syncer pass.
-  uint64_t last_write_req_ = 0;  // Driver id of the newest write of this buf.
   // Async-scheme visibility stamp: the oldest op sequence stamped since
   // the last write-out, i.e. the epoch whose close first needs this
   // buffer. 0 = dirtied outside any async op (or not dirty), which flush
@@ -189,11 +188,6 @@ class BufferCache {
   // Like UNIX bawrite, sleeps while a previous write of the same buffer
   // is outstanding (one write per buffer at a time).
   Task<uint64_t> Bawrite(BufRef buf, OrderingTag tag = {});
-
-  // Driver request id of the most recent write issued for this buffer
-  // (0 if never written). Used by the chains policy to build dependency
-  // lists.
-  uint64_t LastWriteRequest(const Buf& buf) const { return buf.last_write_req_; }
 
   // Records that the *next* write of `buf` (whoever issues it: policy,
   // syncer, eviction) must carry a scheduler-chain dependency on request

@@ -1,6 +1,5 @@
 #include "src/core/machine.h"
 
-#include "src/async/async_policy.h"
 #include "src/core/softupdates/soft_updates_policy.h"
 #include "src/journal/journal_policy.h"
 
@@ -128,11 +127,12 @@ Machine::Machine(MachineConfig config) : config_(config) {
   stats_ = std::make_unique<StatsRegistry>();
   stats_->SetClock([e = engine_.get()] { return e->Now(); });
   if (config_.collect_stats_trace) {
-    stats_->EnableTrace(config_.stats_trace_cap);
+    stats_->EnableTrace();
   }
-  const uint32_t ncpus =
-      config_.cpus > 0 ? config_.cpus : static_cast<uint32_t>(ndisks);
-  cpu_ = std::make_unique<Cpu>(engine_.get(), Msec(1), ncpus);
+  // One core per disk: the scale-out node adds a core with every
+  // spindle, so a multi-disk machine is N of the paper's machines behind
+  // one namespace, and a single-disk machine is the paper's 1-CPU i486.
+  cpu_ = std::make_unique<Cpu>(engine_.get(), Msec(1), static_cast<uint32_t>(ndisks));
 
   VolumeLayout layout;
   layout.disks = static_cast<uint32_t>(ndisks);

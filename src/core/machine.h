@@ -132,11 +132,6 @@ struct MachineConfig {
   // complete file system owning volume region [s*SB, (s+1)*SB). Only
   // meaningful when the machine is multi (disks > 1 or shards > 1).
   uint32_t shards = 0;
-  // CPU cores; 0 = one per disk (the scale-out node adds a core with
-  // every spindle, so a multi-disk machine is N of the paper's machines
-  // behind one namespace). Single-disk machines stay the paper's 1-CPU
-  // i486 either way.
-  uint32_t cpus = 0;
 
   DiskGeometry geometry;
   size_t cache_capacity_blocks = 8192;
@@ -148,7 +143,6 @@ struct MachineConfig {
   // (disk issue/service/complete, cache hit/miss/flush, syncer sweeps,
   // policy ordering points, soft-updates rollback/redo).
   bool collect_stats_trace = false;
-  size_t stats_trace_cap = 1 << 20;
   // Format a fresh file system in the image at construction.
   bool format = true;
 };

@@ -49,94 +49,128 @@ Task<void> OrderingPolicy::FlushAll(Proc& proc) {
 }
 
 // ---------------------------------------------------------------------
-// NoOrder
+// NoOrder (and Async: the same hooks plus the ledger)
 // ---------------------------------------------------------------------
 
 Task<void> NoOrderPolicy::SetupAllocation(Proc& proc, Inode& ip, BufRef data_buf, PtrLoc loc,
                                           bool init_required, BlockRole role) {
   (void)init_required;  // Ignored: that is the point of this baseline.
   (void)role;
-  NoteOrderingPoint("alloc", "delayed");
+  NoteOrderingPoint("alloc", Action());
+  Stamp(data_buf);
+  if (loc.kind == PtrLoc::Kind::kIndirectSlot) {
+    Stamp(loc.indirect_buf);
+  }
+  Stamp(ip.itable_buf);
   co_await fs()->CommitBlockPointer(proc, ip, loc, data_buf->blkno());
 }
 
 Task<void> NoOrderPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                                          std::vector<BufRef> updated_indirects) {
-  (void)ip;
-  (void)updated_indirects;  // Already marked dirty; syncer handles them.
-  NoteOrderingPoint("block_free", "delayed");
+  // The reset pointers are already marked dirty; the syncer writes them.
+  NoteOrderingPoint("block_free", Action());
+  Stamp(ip.itable_buf);
+  for (const BufRef& ibuf : updated_indirects) {
+    Stamp(ibuf);
+  }
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> NoOrderPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
+Task<void> NoOrderPolicy::SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
                                        bool new_inode) {
-  (void)proc;
-  (void)dir_buf;
   (void)offset;
-  (void)target;
   (void)new_inode;
-  NoteOrderingPoint("link_add", "delayed");
+  NoteOrderingPoint("link_add", Action());
+  Stamp(dir_buf);
+  Stamp(target.itable_buf);
   co_return;  // Everything is already a delayed write.
 }
 
 Task<void> NoOrderPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
                                           DirEntry old_entry, uint32_t removed_ino,
                                           const RenameContext* rename) {
-  (void)dir_buf;
   (void)offset;
   (void)old_entry;
-  (void)rename;
-  NoteOrderingPoint("link_remove", "delayed");
-  co_await fs()->ReleaseLink(proc, removed_ino);
+  NoteOrderingPoint("link_remove", Action());
+  Stamp(dir_buf);
+  if (rename != nullptr) {
+    Stamp(rename->new_dir_buf);
+  }
+  co_await Release(proc, removed_ino);
 }
 
 Task<void> NoOrderPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
-  NoteOrderingPoint("inode_free", "delayed");
+  NoteOrderingPoint("inode_free", Action());
+  Stamp(ip.itable_buf);
   co_await fs()->FreeInodeInBitmap(proc, ip.ino);
 }
 
+Task<void> NoOrderPolicy::Release(Proc& proc, uint32_t ino) {
+  co_await fs()->ReleaseLink(proc, ino);
+}
+
+void AsyncPolicy::Stamp(const BufRef& buf) {
+  if (buf != nullptr) {
+    fs()->cache()->StampVisibleSeq(*buf, ledger_->visible_seq() + 1);
+  }
+}
+
+Task<void> AsyncPolicy::Release(Proc& proc, uint32_t ino) {
+  (void)proc;
+  // The visible half of the op is the name removal, already in the
+  // directory buffer. The release (link count, truncate, block/inode
+  // frees) is bookkeeping a crash can always repair, so it runs off the
+  // op path - the same deferral soft updates uses for its rem workitems,
+  // but queued on the ledger rather than the syncer so it only ever runs
+  // at epoch flushes, never inside a foreground-visible syncer pass.
+  ledger_->Defer([this, ino]() -> Task<void> {
+    co_await fs()->ReleaseLink(sys_proc_, ino);
+  });
+  co_return;
+}
+
+Task<void> AsyncPolicy::OpBegin(Proc&) { co_await ledger_->AdmitOp(); }
+
+void AsyncPolicy::OpEnd() { ledger_->NoteVisible(); }
+
+Task<void> AsyncPolicy::FlushAll(Proc& proc) {
+  uint64_t horizon = ledger_->visible_seq();
+  co_await ledger_->Barrier();
+  // A barrier that found the horizon already durable skipped the epoch
+  // flush; the deferred releases still have to land before the drain
+  // below can leave the image clean.
+  co_await ledger_->DrainDeferred();
+  co_await OrderingPolicy::FlushAll(proc);
+  ledger_->MarkDurableThrough(horizon);
+}
+
 // ---------------------------------------------------------------------
-// Conventional (synchronous writes)
+// Ordered writes (Conventional and Scheduler Flag)
 // ---------------------------------------------------------------------
 
-Task<void> ConventionalPolicy::SetupAllocation(Proc& proc, Inode& ip, BufRef data_buf,
+Task<void> OrderedWritePolicy::SetupAllocation(Proc& proc, Inode& ip, BufRef data_buf,
                                                PtrLoc loc, bool init_required, BlockRole role) {
   (void)role;
-  NoteOrderingPoint("alloc", init_required ? "sync_write" : "delayed");
+  NoteOrderingPoint("alloc", init_required ? Action() : "delayed");
   if (init_required) {
-    // Synchronously write zeroes to the new block before the pointer can
-    // reach its carrier. The reserved zero block is the I/O source
-    // (section 3.3), so the data buffer itself is never locked.
-    BlockDevice* driver = fs()->cache()->driver();
-    uint64_t id = driver->IssueWrite(data_buf->blkno(), {fs()->cache()->ZeroBlock()});
-    IoStatus init_status = co_await driver->WaitFor(id);
-    if (init_status != IoStatus::kOk) {
-      // The block may hold stale data from its previous life; committing
-      // the pointer anyway matches a disk that dropped the init write.
-      // Record the degradation so sync callers report it.
-      fs()->NoteIoError();
-    }
+    co_await InitWrite(data_buf->blkno());
   }
   co_await fs()->CommitBlockPointer(proc, ip, loc, data_buf->blkno());
 }
 
-Task<void> ConventionalPolicy::SetupBlockFree(Proc& proc, Inode& ip,
+Task<void> OrderedWritePolicy::SetupBlockFree(Proc& proc, Inode& ip,
                                               std::vector<uint32_t> blocks,
                                               std::vector<BufRef> updated_indirects) {
   // The reset pointers must be on disk before the blocks may be reused:
-  // synchronous writes of the inode and any surviving indirect blocks,
-  // then the bitmaps are updated (delayed) and reuse is immediate.
-  NoteOrderingPoint("block_free", "sync_write");
+  // ordered writes of the inode and any surviving indirect blocks, then
+  // the bitmaps are updated (delayed) and reuse is immediate, since any
+  // later write (e.g. re-initialization of a reused block) is ordered
+  // behind them (section 3.2's flag-based de-allocation).
+  NoteOrderingPoint("block_free", Action());
   co_await fs()->FlushInodeToBuffer(ip);
-  IoStatus ws = co_await fs()->cache()->Bwrite(ip.itable_buf);
-  if (ws != IoStatus::kOk) {
-    fs()->NoteIoError();
-  }
+  co_await OrderedWrite(ip.itable_buf);
   for (BufRef& ibuf : updated_indirects) {
-    ws = co_await fs()->cache()->Bwrite(ibuf);
-    if (ws != IoStatus::kOk) {
-      fs()->NoteIoError();
-    }
+    co_await OrderedWrite(ibuf);
   }
   // Even on a failed reset write the blocks are released: the buffer
   // stays dirty (write_failed) so a later successful flush restores the
@@ -144,144 +178,85 @@ Task<void> ConventionalPolicy::SetupBlockFree(Proc& proc, Inode& ip,
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> ConventionalPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
-                                            Inode& target, bool new_inode) {
-  (void)proc;
+Task<void> OrderedWritePolicy::SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
+                                            bool new_inode) {
   (void)dir_buf;
   (void)offset;
   (void)new_inode;
   // The (possibly new) inode must be on disk before the entry; the
   // directory block itself stays a delayed write ("the last write in a
   // series of metadata updates is asynchronous or delayed").
-  NoteOrderingPoint("link_add", "sync_write");
+  NoteOrderingPoint("link_add", Action());
   co_await fs()->FlushInodeToBuffer(target);
-  IoStatus ws = co_await fs()->cache()->Bwrite(target.itable_buf);
-  if (ws != IoStatus::kOk) {
-    fs()->NoteIoError();
-  }
+  co_await OrderedWrite(target.itable_buf);
 }
 
-Task<void> ConventionalPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
+Task<void> OrderedWritePolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
                                                DirEntry old_entry, uint32_t removed_ino,
                                                const RenameContext* rename) {
   (void)offset;
   (void)old_entry;
-  NoteOrderingPoint("link_remove", "sync_write");
+  NoteOrderingPoint("link_remove", Action());
   if (rename != nullptr && rename->new_dir_buf->blkno() != dir_buf->blkno()) {
     // Rule 1: the new name reaches disk before the old one is cleared.
-    NoteOrderingPoint("rename_fence", "sync_write");
-    IoStatus fence = co_await fs()->cache()->Bwrite(rename->new_dir_buf);
-    if (fence != IoStatus::kOk) {
-      fs()->NoteIoError();
-    }
+    NoteOrderingPoint("rename_fence", Action());
+    co_await OrderedWrite(rename->new_dir_buf);
   }
   // Rule 2: the cleared entry reaches disk before the link count drops.
-  IoStatus ws = co_await fs()->cache()->Bwrite(dir_buf);
-  if (ws != IoStatus::kOk) {
-    fs()->NoteIoError();
-  }
+  co_await OrderedWrite(dir_buf);
   co_await fs()->ReleaseLink(proc, removed_ino);
 }
 
-Task<void> ConventionalPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
-  NoteOrderingPoint("inode_free", "sync_write");
+Task<void> OrderedWritePolicy::SetupInodeFree(Proc& proc, Inode& ip) {
+  NoteOrderingPoint("inode_free", Action());
   // The truncation usually wrote the reset inode (mode already 0) a
   // moment ago; only write again if something changed since.
   if (ip.dirty() || ip.itable_buf->dirty()) {
     co_await fs()->FlushInodeToBuffer(ip);
-    IoStatus ws = co_await fs()->cache()->Bwrite(ip.itable_buf);
-    if (ws != IoStatus::kOk) {
-      fs()->NoteIoError();
-    }
+    co_await OrderedWrite(ip.itable_buf);
   }
   co_await fs()->FreeInodeInBitmap(proc, ip.ino);
 }
 
-// ---------------------------------------------------------------------
-// Scheduler flag
-//
-// Fault-tolerance contract: retries happen inside the device service
-// loop while the request stays in service, so flagged ordering (and
-// chain dependencies below) hold across re-issued attempts with no
-// bookkeeping here. A request that exhausts its retries completes with
-// a failure status; its buffer is re-dirtied by the cache (sticky
-// write_failed) and dependents are released - equivalent to relaxing
-// that one ordering edge to a delayed write, which fsck can repair.
-// ---------------------------------------------------------------------
-
-Task<void> SchedulerFlagPolicy::SetupAllocation(Proc& proc, Inode& ip, BufRef data_buf,
-                                                PtrLoc loc, bool init_required, BlockRole role) {
-  (void)role;
-  NoteOrderingPoint("alloc", init_required ? "flagged_write" : "delayed");
-  if (init_required) {
-    // Asynchronous flagged init write from the zero block; the pointer
-    // carrier's write is issued later, hence ordered after it.
-    fs()->cache()->driver()->IssueWrite(data_buf->blkno(), {fs()->cache()->ZeroBlock()},
-                                        {.flag = true, .device_ordered = true});
+Task<void> ConventionalPolicy::OrderedWrite(BufRef buf) {
+  IoStatus ws = co_await fs()->cache()->Bwrite(std::move(buf));
+  if (ws != IoStatus::kOk) {
+    fs()->NoteIoError();
   }
-  co_await fs()->CommitBlockPointer(proc, ip, loc, data_buf->blkno());
 }
 
-Task<void> SchedulerFlagPolicy::SetupBlockFree(Proc& proc, Inode& ip,
-                                               std::vector<uint32_t> blocks,
-                                               std::vector<BufRef> updated_indirects) {
-  // Section 3.2's flag-based de-allocation: the pointer-reset writes go
-  // out as flagged asynchronous writes; reuse is immediate because any
-  // later write (e.g. re-initialization of a reused block) is issued
-  // after the flagged request and therefore ordered behind it.
-  NoteOrderingPoint("block_free", "flagged_write");
-  co_await fs()->FlushInodeToBuffer(ip);
-  OrderingTag flagged;
-  flagged.flag = true;
-  flagged.device_ordered = true;
-  (void)co_await fs()->cache()->Bawrite(ip.itable_buf, flagged);
-  for (BufRef& ibuf : updated_indirects) {
-    (void)co_await fs()->cache()->Bawrite(ibuf, flagged);
+Task<void> ConventionalPolicy::InitWrite(uint32_t blkno) {
+  BlockDevice* driver = fs()->cache()->driver();
+  uint64_t id = driver->IssueWrite(blkno, {fs()->cache()->ZeroBlock()});
+  IoStatus init_status = co_await driver->WaitFor(id);
+  if (init_status != IoStatus::kOk) {
+    // The block may hold stale data from its previous life; committing
+    // the pointer anyway matches a disk that dropped the init write.
+    // Record the degradation so sync callers report it.
+    fs()->NoteIoError();
   }
-  co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> SchedulerFlagPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
-                                             Inode& target, bool new_inode) {
-  (void)dir_buf;
-  (void)offset;
-  (void)new_inode;
-  (void)proc;
-  NoteOrderingPoint("link_add", "flagged_write");
-  co_await fs()->FlushInodeToBuffer(target);
-  OrderingTag flagged;
-  flagged.flag = true;
-  flagged.device_ordered = true;
-  (void)co_await fs()->cache()->Bawrite(target.itable_buf, flagged);
+// Scheduler Flag's fault-tolerance contract: retries happen inside the
+// device service loop while the request stays in service, so flagged
+// ordering (and chain dependencies below) hold across re-issued attempts
+// with no bookkeeping here. A request that exhausts its retries
+// completes with a failure status; its buffer is re-dirtied by the cache
+// (sticky write_failed) and dependents are released - equivalent to
+// relaxing that one ordering edge to a delayed write, which fsck can
+// repair.
+
+Task<void> SchedulerFlagPolicy::OrderedWrite(BufRef buf) {
+  OrderingTag flagged{.flag = true, .deps = {}};
+  (void)co_await fs()->cache()->Bawrite(std::move(buf), flagged);
 }
 
-Task<void> SchedulerFlagPolicy::SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset,
-                                                DirEntry old_entry, uint32_t removed_ino,
-                                                const RenameContext* rename) {
-  (void)offset;
-  (void)old_entry;
-  NoteOrderingPoint("link_remove", "flagged_write");
-  OrderingTag flagged;
-  flagged.flag = true;
-  flagged.device_ordered = true;
-  if (rename != nullptr && rename->new_dir_buf->blkno() != dir_buf->blkno()) {
-    NoteOrderingPoint("rename_fence", "flagged_write");
-    (void)co_await fs()->cache()->Bawrite(rename->new_dir_buf, flagged);
-  }
-  (void)co_await fs()->cache()->Bawrite(dir_buf, flagged);
-  co_await fs()->ReleaseLink(proc, removed_ino);
-}
-
-Task<void> SchedulerFlagPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
-  NoteOrderingPoint("inode_free", "flagged_write");
-  if (ip.dirty() || ip.itable_buf->dirty()) {
-    co_await fs()->FlushInodeToBuffer(ip);
-    OrderingTag free_tag;
-    free_tag.flag = true;
-    free_tag.device_ordered = true;
-    (void)co_await fs()->cache()->Bawrite(ip.itable_buf, free_tag);
-  }
-  co_await fs()->FreeInodeInBitmap(proc, ip.ino);
+Task<void> SchedulerFlagPolicy::InitWrite(uint32_t blkno) {
+  // Asynchronous: the pointer carrier's write is issued later, hence
+  // ordered after it.
+  fs()->cache()->driver()->IssueWrite(blkno, {fs()->cache()->ZeroBlock()},
+                                      {.flag = true, .deps = {}});
+  co_return;
 }
 
 // ---------------------------------------------------------------------
@@ -356,11 +331,10 @@ Task<void> SchedulerChainPolicy::SetupBlockFree(Proc& proc, Inode& ip,
   co_await fs()->FreeBlocksInBitmap(proc, blocks);
 }
 
-Task<void> SchedulerChainPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
-                                              Inode& target, bool new_inode) {
+Task<void> SchedulerChainPolicy::SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
+                                              bool new_inode) {
   (void)offset;
   (void)new_inode;
-  (void)proc;
   NoteOrderingPoint("link_add", "chain_dep");
   co_await fs()->FlushInodeToBuffer(target);
   // NOTE: no non-trivial temporaries in co_await argument lists (GCC 12
@@ -368,7 +342,6 @@ Task<void> SchedulerChainPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32
   OrderingTag add_tag;
   if (!track_freed_) {
     add_tag.deps = BarrierDeps();
-    add_tag.device_ordered = !add_tag.deps.empty();
   }
   uint64_t id = co_await fs()->cache()->Bawrite(target.itable_buf, std::move(add_tag));
   // The directory entry (whenever its block is written) follows the inode.
@@ -422,7 +395,6 @@ Task<void> SchedulerChainPolicy::SetupInodeFree(Proc& proc, Inode& ip) {
     tag.deps.insert(tag.deps.end(), barrier.begin(), barrier.end());
   }
   if (ip.dirty() || ip.itable_buf->dirty() || !tag.deps.empty()) {
-    tag.device_ordered = !tag.deps.empty();
     co_await fs()->FlushInodeToBuffer(ip);
     uint64_t id = co_await fs()->cache()->Bawrite(ip.itable_buf, std::move(tag));
     if (!track_freed_) {

@@ -190,9 +190,8 @@ Task<void> SoftUpdatesPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<
   co_return;
 }
 
-Task<void> SoftUpdatesPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset,
-                                           Inode& target, bool new_inode) {
-  (void)proc;
+Task<void> SoftUpdatesPolicy::SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
+                                           bool new_inode) {
   (void)new_inode;
   NoteOrderingPoint("link_add", "dep_record");
   auto add = std::make_unique<DirAddDep>();

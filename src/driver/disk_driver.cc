@@ -88,7 +88,6 @@ uint64_t DiskDriver::IssueWrite(uint32_t blkno, std::vector<std::shared_ptr<cons
   req->blkno = blkno;
   req->count = static_cast<uint32_t>(data.size());
   req->flag = tag.flag;
-  req->device_ordered = tag.device_ordered;
   req->deps = std::move(tag.deps);
   req->data = std::move(data);
   return Enqueue(std::move(req), std::move(isr));
@@ -152,7 +151,7 @@ bool DiskDriver::TryMerge(Request* incoming) {
     return false;
   }
   Request* tail = queue_.back().get();
-  if (tail == in_service_ || tail->dir != IoDir::kWrite || tail->flag) {
+  if (tail->dir != IoDir::kWrite || tail->flag) {
     return false;
   }
   if (tail->count + incoming->count > kMaxMergedBlocks) {
@@ -178,7 +177,6 @@ bool DiskDriver::TryMerge(Request* incoming) {
     return false;
   }
   tail->count += incoming->count;
-  tail->device_ordered = tail->device_ordered || incoming->device_ordered;
   tail->ids.insert(tail->ids.end(), incoming->ids.begin(), incoming->ids.end());
   tail->deps.insert(tail->deps.end(), incoming->deps.begin(), incoming->deps.end());
   tail->isrs.insert(tail->isrs.end(), std::make_move_iterator(incoming->isrs.begin()),
@@ -280,10 +278,9 @@ bool DiskDriver::DeviceTagFor(const Request& r) const {
   // kNone covers Conventional (orders by waiting), No Order, soft updates
   // (orders in the cache), journaling (orders via the log) AND the
   // "Ignore" datapoint - all simple tags, the device runs free. For the
-  // scheduler schemes, every ordering boundary (flag, dependency list, or
-  // the policy's explicit annotation) becomes an ordered tag.
-  return config_.ordering.mode != OrderingMode::kNone &&
-         (r.device_ordered || r.flag || !r.deps.empty());
+  // scheduler schemes, every ordering boundary (flag or dependency list)
+  // becomes an ordered tag.
+  return config_.ordering.mode != OrderingMode::kNone && (r.flag || !r.deps.empty());
 }
 
 void DiskDriver::DispatchToDevice() {

@@ -137,7 +137,6 @@ class DiskDriver : public BlockDevice {
   // A device request. Its issue_index is the newest of its merged issues.
   struct Request : GatedRequest {
     std::vector<uint64_t> ids;  // All ids merged into this device request.
-    bool device_ordered = false;  // Scheme asked for an ordered device tag.
     // The device's view, set at dispatch (queueing mode): `flag` is the
     // ORDERED tag and `issue_index` the acceptance number.
     GatedRequest device;

@@ -49,13 +49,6 @@ struct OrderingTag {
   // Explicit request dependencies (scheduler-chain scheme, section 3.2):
   // ids of previously issued requests that must complete first.
   std::vector<uint64_t> deps;
-  // Device-queueing delegation: with --queue-depth > 1 this request is an
-  // ordering boundary the scheme wants enforced by an ORDERED command tag
-  // at the device instead of by holding the request back in the driver.
-  // The driver also infers ordered tags from `flag`/`deps`, so this is an
-  // explicit annotation at the scheme's ordering points, not a separate
-  // correctness mechanism. Ignored at queue depth 1.
-  bool device_ordered = false;
 };
 
 }  // namespace mufs

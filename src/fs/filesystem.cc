@@ -444,7 +444,7 @@ Task<Result<uint32_t>> FileSystem::BlockMap(Proc& proc, Inode& ip, uint32_t lbn,
     if (blk != 0 || !alloc) {
       co_return blk;
     }
-    PtrLoc loc{.kind = PtrLoc::Kind::kInodeDirect, .index = lbn};
+    PtrLoc loc{.kind = PtrLoc::Kind::kInodeDirect, .index = lbn, .indirect_buf = nullptr};
     uint32_t hint = lbn > 0 ? ip.d.direct[lbn - 1] + 1 : 0;
     Result<BufRef> buf = co_await AllocAttachedBlock(proc, ip, loc, force_init, leaf_role, hint);
     if (!buf.Ok()) {
@@ -460,7 +460,7 @@ Task<Result<uint32_t>> FileSystem::BlockMap(Proc& proc, Inode& ip, uint32_t lbn,
       if (!alloc) {
         co_return 0u;
       }
-      PtrLoc loc{.kind = PtrLoc::Kind::kInodeIndirect};
+      PtrLoc loc{.kind = PtrLoc::Kind::kInodeIndirect, .indirect_buf = nullptr};
       // Indirect blocks are metadata: always initialization-ordered.
       Result<BufRef> buf = co_await AllocAttachedBlock(proc, ip, loc, /*init_required=*/true,
                                                        BlockRole::kIndirect,
@@ -496,7 +496,7 @@ Task<Result<uint32_t>> FileSystem::BlockMap(Proc& proc, Inode& ip, uint32_t lbn,
     if (!alloc) {
       co_return 0u;
     }
-    PtrLoc loc{.kind = PtrLoc::Kind::kInodeDouble};
+    PtrLoc loc{.kind = PtrLoc::Kind::kInodeDouble, .indirect_buf = nullptr};
     Result<BufRef> buf = co_await AllocAttachedBlock(proc, ip, loc, /*init_required=*/true,
                                                      BlockRole::kIndirect, ip.d.indirect + 1);
     if (!buf.Ok()) {

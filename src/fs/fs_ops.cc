@@ -248,7 +248,7 @@ Task<Result<uint32_t>> FileSystem::Create(Proc& proc, const std::string& path) {
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
 
-  co_await policy_->SetupLinkAdd(proc, entry.value().buf, entry.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip,
                                  /*new_inode=*/true);
   stat_creates_->Inc();
   co_return ino.value();
@@ -299,7 +299,7 @@ Task<FsStatus> FileSystem::Mkdir(Proc& proc, const std::string& path) {
   if (!entry.Ok()) {
     co_return entry.status();
   }
-  co_await policy_->SetupLinkAdd(proc, entry.value().buf, entry.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip,
                                  /*new_inode=*/true);
   stat_mkdirs_->Inc();
   co_return FsStatus::kOk;
@@ -340,7 +340,7 @@ Task<FsStatus> FileSystem::Link(Proc& proc, const std::string& existing,
   }
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
-  co_await policy_->SetupLinkAdd(proc, entry.value().buf, entry.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip,
                                  /*new_inode=*/false);
   co_return FsStatus::kOk;
 }
@@ -372,7 +372,7 @@ Task<FsStatus> FileSystem::Unlink(Proc& proc, const std::string& path) {
   BufRef buf = loc.value().buf;
   co_await cache_->BeginUpdate(*buf);
   DirEntry old_entry = *buf->At<DirEntry>(loc.value().offset);
-  memset(buf->At<DirEntry>(loc.value().offset), 0, kDirEntrySize);
+  *buf->At<DirEntry>(loc.value().offset) = DirEntry{};
   cache_->MarkDirty(*buf);
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
@@ -418,7 +418,7 @@ Task<FsStatus> FileSystem::Rmdir(Proc& proc, const std::string& path) {
   BufRef buf = loc.value().buf;
   co_await cache_->BeginUpdate(*buf);
   DirEntry old_entry = *buf->At<DirEntry>(loc.value().offset);
-  memset(buf->At<DirEntry>(loc.value().offset), 0, kDirEntrySize);
+  *buf->At<DirEntry>(loc.value().offset) = DirEntry{};
   cache_->MarkDirty(*buf);
 
   parent->d.nlink--;  // The removed child's "..".
@@ -491,7 +491,7 @@ Task<FsStatus> FileSystem::Rename(Proc& proc, const std::string& from, const std
   }
   to_dir->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *to_dir);
-  co_await policy_->SetupLinkAdd(proc, added.value().buf, added.value().offset, *ip,
+  co_await policy_->SetupLinkAdd(added.value().buf, added.value().offset, *ip,
                                  /*new_inode=*/false);
 
   // Remove the old name. AddEntry never relocates existing entries, so
@@ -499,7 +499,7 @@ Task<FsStatus> FileSystem::Rename(Proc& proc, const std::string& from, const std
   BufRef old_buf = src.value().buf;
   co_await cache_->BeginUpdate(*old_buf);
   DirEntry old_entry = *old_buf->At<DirEntry>(src.value().offset);
-  memset(old_buf->At<DirEntry>(src.value().offset), 0, kDirEntrySize);
+  *old_buf->At<DirEntry>(src.value().offset) = DirEntry{};
   cache_->MarkDirty(*old_buf);
   from_dir->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *from_dir);

@@ -10,20 +10,22 @@
 //   4. link removal                            -> SetupLinkRemove
 //
 // plus the rename rule-1 fence (SetupLinkRemove with a RenameContext)
-// and inode free (SetupInodeFree). Each of the seven schemes implements
-// the hooks with its own write discipline:
+// and inode free (SetupInodeFree). The seven schemes have five
+// implementations of the hooks, one per write discipline:
 //
 //   NoOrder       : mark things dirty, nothing else (unsafe baseline).
+//   Async         : NoOrder's hooks, stamping each dirtied buffer for a
+//                   visibility/durability ledger (see src/async/) that
+//                   also runs the link releases.
 //   Conventional  : synchronous writes at each point.
-//   SchedulerFlag : asynchronous writes carrying the one-bit flag.
+//   SchedulerFlag : Conventional's writes at the same points, made
+//                   asynchronous and carrying the one-bit flag.
 //   SchedulerChain: asynchronous writes carrying request dependencies,
 //                   plus freed-resource tracking for safe re-use.
 //   SoftUpdates   : delayed writes plus fine-grained dependency records
 //                   with undo/redo (see src/core/softupdates/).
 //   Journaling    : metadata captured into write-ahead log transactions
 //                   (see src/journal/).
-//   Async         : delayed writes behind a visibility/durability ledger
-//                   (see src/async/).
 //
 // A policy is also the buffer cache's DepHooks: the file system forwards
 // every cache hook to it. The defaults are no-ops; soft updates rolls
@@ -108,7 +110,7 @@ class OrderingPolicy : public DepHooks {
   // points to `target` (nlink already bumped in-core; brand-new inodes
   // are fully initialized in-core). Rule 3: the inode must reach disk
   // before the entry.
-  virtual Task<void> SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
+  virtual Task<void> SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
                                   bool new_inode) = 0;
 
   // (4) Link removal: the entry at `offset` in `dir_buf` (which pointed

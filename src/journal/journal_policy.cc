@@ -81,9 +81,8 @@ Task<void> JournalPolicy::SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint
   }
 }
 
-Task<void> JournalPolicy::SetupLinkAdd(Proc& proc, BufRef dir_buf, uint32_t offset, Inode& target,
+Task<void> JournalPolicy::SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
                                        bool new_inode) {
-  (void)proc;
   (void)offset;
   (void)target;  // Captured via NoteInodeUpdate when it was initialized.
   NoteOrderingPoint("link_add", "logged");

@@ -415,7 +415,8 @@ Task<FsStatus> MailServerWorkload(Machine& m, Proc& proc, const std::string& roo
     if (r < 0.35 || (fresh.empty() && seen.empty())) {
       // Delivery: write the message under tmp/, then rename it into
       // new/ (the maildir atomic-publish idiom).
-      std::string name = "m" + std::to_string(name_counter++);
+      std::string name = "m";
+      name += std::to_string(name_counter++);
       uint64_t bytes = 512 + rng.Next() % 4096;
       Result<uint32_t> ino = co_await CreateTagged(m, proc, root + "/tmp/" + name, bytes);
       if (!ino.Ok()) {

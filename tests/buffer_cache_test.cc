@@ -207,18 +207,6 @@ TEST(BufferCacheTest, ZeroBlockIsAllZeroes) {
   }
 }
 
-TEST(BufferCacheTest, LastWriteRequestTracksDriverId) {
-  Rig rig;
-  auto body = [](Rig* r) -> Task<void> {
-    BufRef buf = co_await r->cache->Bget(80);
-    buf->data()[0] = 1;
-    r->cache->MarkDirty(*buf);
-    uint64_t id = co_await r->cache->Bawrite(buf);
-    EXPECT_EQ(r->cache->LastWriteRequest(*buf), id);
-  };
-  rig.RunTask(body, &rig);
-}
-
 // A DepHooks that counts invocations and substitutes a marker source.
 class CountingHooks : public DepHooks {
  public:

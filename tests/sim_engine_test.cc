@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -171,7 +172,9 @@ TEST(ProcessTest, ManyProcessesInterleave) {
     out->push_back(i);
   };
   for (int i = 0; i < 8; ++i) {
-    e.Spawn(body(&e, &completions, i), "p" + std::to_string(i));
+    std::string name = "p";
+    name += std::to_string(i);
+    e.Spawn(body(&e, &completions, i), std::move(name));
   }
   e.Run();
   ASSERT_EQ(completions.size(), 8u);
