@@ -28,8 +28,7 @@ class NoOrderPolicy : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
-                          bool new_inode) override;
+  Task<void> SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target, bool new_inode) override;
   Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
                              uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
@@ -95,8 +94,7 @@ class OrderedWritePolicy : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
-                          bool new_inode) override;
+  Task<void> SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target, bool new_inode) override;
   Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
                              uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;
@@ -156,8 +154,7 @@ class SchedulerChainPolicy final : public OrderingPolicy {
                              bool init_required, BlockRole role) override;
   Task<void> SetupBlockFree(Proc& proc, Inode& ip, std::vector<uint32_t> blocks,
                             std::vector<BufRef> updated_indirects) override;
-  Task<void> SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target,
-                          bool new_inode) override;
+  Task<void> SetupLinkAdd(BufRef dir_buf, uint32_t offset, Inode& target, bool new_inode) override;
   Task<void> SetupLinkRemove(Proc& proc, BufRef dir_buf, uint32_t offset, DirEntry old_entry,
                              uint32_t removed_ino, const RenameContext* rename) override;
   Task<void> SetupInodeFree(Proc& proc, Inode& ip) override;

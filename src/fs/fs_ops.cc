@@ -248,8 +248,7 @@ Task<Result<uint32_t>> FileSystem::Create(Proc& proc, const std::string& path) {
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
 
-  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip,
-                                 /*new_inode=*/true);
+  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip, /*new_inode=*/true);
   stat_creates_->Inc();
   co_return ino.value();
 }
@@ -299,8 +298,7 @@ Task<FsStatus> FileSystem::Mkdir(Proc& proc, const std::string& path) {
   if (!entry.Ok()) {
     co_return entry.status();
   }
-  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip,
-                                 /*new_inode=*/true);
+  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip, /*new_inode=*/true);
   stat_mkdirs_->Inc();
   co_return FsStatus::kOk;
 }
@@ -340,8 +338,7 @@ Task<FsStatus> FileSystem::Link(Proc& proc, const std::string& existing,
   }
   parent->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *parent);
-  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip,
-                                 /*new_inode=*/false);
+  co_await policy_->SetupLinkAdd(entry.value().buf, entry.value().offset, *ip, /*new_inode=*/false);
   co_return FsStatus::kOk;
 }
 
@@ -491,8 +488,7 @@ Task<FsStatus> FileSystem::Rename(Proc& proc, const std::string& from, const std
   }
   to_dir->d.mtime = NowSeconds();
   co_await MarkInodeDirty(proc, *to_dir);
-  co_await policy_->SetupLinkAdd(added.value().buf, added.value().offset, *ip,
-                                 /*new_inode=*/false);
+  co_await policy_->SetupLinkAdd(added.value().buf, added.value().offset, *ip, /*new_inode=*/false);
 
   // Remove the old name. AddEntry never relocates existing entries, so
   // the location found above is still valid.
