@@ -491,26 +491,40 @@ TEST(DriverTracePropertyTest, ConcatNeverMergesOntoChainDependency) {
 constexpr uint32_t kDepth = 8;
 constexpr OrderingRules kFlagPart{.mode = OrderingMode::kFlag, .semantics = FlagSemantics::kPart};
 
-// Writes 5000, 100, 4990 into the window, with 100 optionally flagged
-// (an ORDERED tag), and returns the service order.
-std::vector<uint32_t> ServiceOrderAroundBarrier(bool barrier) {
-  Rig rig{kFlagPart, kDepth};
-  rig.Write(5000, 1);
-  rig.Write(100, 2, OrderingTag{.flag = barrier, .deps = {}});
+// What makes the write at 100 ORDERED: nothing, its flag (Flag Part), or
+// its dependency on the earlier write at 5000 (Chains).
+enum class Barrier { kNone, kFlag, kChainsDep };
+
+// Writes 5000, 100, 4990 into the window and returns the service order.
+std::vector<uint32_t> ServiceOrderAroundBarrier(Barrier barrier) {
+  Rig rig{barrier == Barrier::kChainsDep ? OrderingRules{.mode = OrderingMode::kChains}
+                                         : kFlagPart,
+          kDepth};
+  uint64_t first = rig.Write(5000, 1);
+  OrderingTag tag;
+  tag.flag = barrier == Barrier::kFlag;
+  if (barrier == Barrier::kChainsDep) {
+    tag.deps = {first};
+  }
+  rig.Write(100, 2, tag);
   rig.Write(4990, 3);
   rig.engine.Run();
-  EXPECT_EQ(rig.stats.counter("disk.tag_ordered").value(), barrier ? 1u : 0u);
+  EXPECT_EQ(rig.stats.counter("disk.tag_ordered").value(), barrier == Barrier::kNone ? 0u : 1u);
   return CompletionBlocks(rig);
 }
 
 TEST(DriverQueueingTest, OrderedTagIsABidirectionalBarrier) {
   // Untagged, the device serves by position and 5000 is not first.
-  std::vector<uint32_t> free_order = ServiceOrderAroundBarrier(false);
+  std::vector<uint32_t> free_order = ServiceOrderAroundBarrier(Barrier::kNone);
   ASSERT_EQ(free_order.size(), 3u);
   EXPECT_NE(free_order.front(), 5000u);
   // The ORDERED write at 100 waits for every earlier accepted command
   // (5000) and holds every later one (4990).
-  EXPECT_EQ(ServiceOrderAroundBarrier(true), (std::vector<uint32_t>{5000, 100, 4990}));
+  EXPECT_EQ(ServiceOrderAroundBarrier(Barrier::kFlag), (std::vector<uint32_t>{5000, 100, 4990}));
+  // A Chains dependency reaches the device as the same barrier, which is
+  // all that keeps the dependent write after the write it names.
+  EXPECT_EQ(ServiceOrderAroundBarrier(Barrier::kChainsDep),
+            (std::vector<uint32_t>{5000, 100, 4990}));
 }
 
 TEST(DriverQueueingTest, OverlappingWritesKeepAcceptanceOrder) {

@@ -243,6 +243,16 @@ TEST(GoldenStatsTest, NoOrderCopyQueueDepth4StatsMatchGolden) {
   CheckNamedGolden(actual, "no_order_copy_qd4_seed42.json");
 }
 
+// A striped volume at depth 4: the volume gate holds requests back and
+// each member driver's device window reorders what it lets through.
+TEST(GoldenStatsTest, SchedulerFlagCopyTwoDiskQueueDepth4StatsMatchGolden) {
+  std::string actual = RunGoldenWorkload(Scheme::kSchedulerFlag, /*disks=*/2, /*queue_depth=*/4);
+  EXPECT_GT(CounterIn(actual, "disk0.rpo_picks"), 0);
+  EXPECT_GT(CounterIn(actual, "disk1.rpo_picks"), 0);
+  EXPECT_GT(CounterIn(actual, "volume.held"), 0);
+  CheckNamedGolden(actual, "scheduler_flag_copy_2disk_qd4_seed42.json");
+}
+
 // Chains' dependency lists become ORDERED tags in the device window.
 TEST(GoldenStatsTest, SchedulerChainsRemoveQueueDepth16StatsMatchGolden) {
   std::string actual =
