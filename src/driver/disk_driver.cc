@@ -11,6 +11,10 @@ namespace {
 
 constexpr uint32_t kMaxMergedBlocks = 16;  // 64 KB max device transfer.
 
+// The gate's rules at queue depth > 1, over the device window: an ORDERED
+// tag is the paper's Full flag, and no read bypasses it.
+constexpr OrderingRules kDeviceWindowRules{OrderingMode::kFlag, FlagSemantics::kFull};
+
 // Takes ownership of `r` out of `from`.
 template <typename R>
 std::unique_ptr<R> Detach(std::list<std::unique_ptr<R>>* from, R* r) {
@@ -29,8 +33,7 @@ DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, Stats
       image_(image),
       config_(config),
       stats_(stats),
-      gate_(engine, config.ordering),
-      device_gate_(engine, {OrderingMode::kFlag, FlagSemantics::kFull, /*reads_bypass=*/false}),
+      gate_(engine, config.queue_depth > 1 ? kDeviceWindowRules : config.ordering),
       work_available_(engine),
       queue_empty_(engine) {
   // With an image_map the image is the whole volume; this disk's media
@@ -74,8 +77,7 @@ DiskDriver::DiskDriver(Engine* engine, DiskModel* model, DiskImage* image, Stats
   trace_names_.fault = InstanceMetricName(inst, "disk.fault");
   trace_names_.remap = InstanceMetricName(inst, "disk.remap");
   trace_names_.gave_up = InstanceMetricName(inst, "disk.gave_up");
-  service_proc_ =
-      engine_->Spawn(ServiceLoop(), inst.empty() ? "disk-driver" : inst + "-driver");
+  engine_->Spawn(ServiceLoop(), inst.empty() ? "disk-driver" : inst + "-driver");
 }
 
 DiskDriver::~DiskDriver() { stopping_ = true; }
@@ -134,7 +136,10 @@ uint64_t DiskDriver::Enqueue(std::unique_ptr<Request> req, IoCallback isr) {
                                     {"count", queue_.back()->count}});
     }
   } else {
-    gate_.Index(*req);
+    // At depth > 1 a request is indexed when the device accepts it.
+    if (!Queueing()) {
+      gate_.Index(*req);
+    }
     queue_.push_back(std::move(req));
   }
   stat_queue_depth_->Set(static_cast<int64_t>(PendingCount()));
@@ -164,17 +169,17 @@ bool DiskDriver::TryMerge(Request* incoming) {
       return false;
     }
   }
-  if (tail->blkno + tail->count == incoming->blkno) {
-    // Append.
-    gate_.Unindex(*tail);
-    tail->data.insert(tail->data.end(), incoming->data.begin(), incoming->data.end());
-  } else if (incoming->blkno + incoming->count == tail->blkno) {
-    // Prepend.
-    gate_.Unindex(*tail);
-    tail->data.insert(tail->data.begin(), incoming->data.begin(), incoming->data.end());
-    tail->blkno = incoming->blkno;
-  } else {
+  bool append = tail->blkno + tail->count == incoming->blkno;
+  if (!append && incoming->blkno + incoming->count != tail->blkno) {
     return false;
+  }
+  if (!Queueing()) {
+    gate_.Unindex(*tail);
+  }
+  tail->data.insert(append ? tail->data.end() : tail->data.begin(), incoming->data.begin(),
+                    incoming->data.end());
+  if (!append) {
+    tail->blkno = incoming->blkno;
   }
   tail->count += incoming->count;
   tail->ids.insert(tail->ids.end(), incoming->ids.begin(), incoming->ids.end());
@@ -184,7 +189,9 @@ bool DiskDriver::TryMerge(Request* incoming) {
   // Adopt the newer issue index: eligibility constraints only grow, which
   // is always safe (delaying a write never violates ordering).
   tail->issue_index = incoming->issue_index;
-  gate_.Index(*tail);
+  if (!Queueing()) {
+    gate_.Index(*tail);
+  }
   return true;
 }
 
@@ -217,14 +224,14 @@ DiskDriver::Request* DiskDriver::PickNext() {
 DiskDriver::Request* DiskDriver::PickFromDevice() {
   DispatchToDevice();
   // Rotational-position ordering: the least positioning cost among the
-  // commands the device gate lets start. Strict < keeps the earliest
-  // accepted of equal-cost commands, so picks are deterministic. The
-  // oldest accepted command is always eligible, since every rule looks
-  // only at earlier accepted ones.
+  // commands the gate lets start. Strict < keeps the earliest accepted of
+  // equal-cost commands, so picks are deterministic. The oldest accepted
+  // command is always eligible, since every rule looks only at earlier
+  // accepted ones.
   Request* best = nullptr;
   SimDuration best_cost = 0;
   for (const auto& q : accepted_) {
-    if (!device_gate_.Eligible(q->device)) {
+    if (!gate_.Eligible(*q)) {
       continue;
     }
     SimDuration cost =
@@ -263,7 +270,6 @@ Task<void> DiskDriver::ServiceLoop() {
     scan_from_ = r->blkno + r->count;
     if (Queueing()) {
       owned = Detach(&accepted_, r);
-      device_gate_.Retire(r->device);
     }
     Complete(r, status);
     in_service_ = nullptr;
@@ -289,19 +295,18 @@ void DiskDriver::DispatchToDevice() {
   // barriers coincide with the schemes' issue-order constraints. A
   // chain dependency always names an earlier-issued request, which is
   // therefore either complete or accepted earlier - an ordered tag on the
-  // dependent request subsumes it.
+  // dependent request subsumes it. An accepted command's flag becomes its
+  // tag, and its issue index orders the window as acceptance does.
   while (!queue_.empty() && accepted_.size() < config_.queue_depth) {
     Request* r = accepted_.emplace_back(std::move(queue_.front())).get();
     queue_.pop_front();
-    bool ordered = DeviceTagFor(*r);
-    r->device = {.dir = r->dir, .blkno = r->blkno, .count = r->count, .flag = ordered,
-                 .issue_index = device_gate_.NextIssueIndex(ordered), .deps = {}};
-    device_gate_.Index(r->device);
-    (ordered ? stat_tag_ordered_ : stat_tag_simple_)->Inc();
+    r->flag = DeviceTagFor(*r);
+    gate_.Index(*r);
+    (r->flag ? stat_tag_ordered_ : stat_tag_simple_)->Inc();
     if (stats_->tracing()) {
       stats_->Trace(trace_names_.accept, {{"id", r->ids.front()},
-                                    {"seq", r->device.issue_index},
-                                    {"tag", ordered ? "ordered" : "simple"},
+                                    {"seq", stat_tag_simple_->value() + stat_tag_ordered_->value()},
+                                    {"tag", r->flag ? "ordered" : "simple"},
                                     {"blkno", r->blkno},
                                     {"count", r->count},
                                     {"dq", accepted_.size()}});

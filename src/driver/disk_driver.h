@@ -16,13 +16,13 @@
 // device picks what to execute next by rotational position. Ordering
 // moves into command tags: the Flag and Chains schemes' ordering
 // boundaries become ORDERED tags; everything else is a SIMPLE tag the
-// device may reorder. A second OrderingGate with Full flag semantics
-// gates the window over acceptance order: an ORDERED tag is the paper's
-// Full flag (a barrier in both directions), and overlapping writes keep
-// their order under every tag. Completions therefore leave the device
-// out of submission order. Depth 1 (the default) runs the exact
-// non-queueing code path above, byte-identical in stats and timing to
-// the pre-queueing driver.
+// device may reorder. The driver's OrderingGate then gates only the
+// window, with Full flag semantics over acceptance order: an ORDERED tag
+// is the paper's Full flag (a barrier in both directions), and
+// overlapping writes keep their order under every tag. Completions
+// therefore leave the device out of submission order. Depth 1 (the
+// default) runs the exact non-queueing code path above, byte-identical
+// in stats and timing to the pre-queueing driver.
 #ifndef MUFS_SRC_DRIVER_DISK_DRIVER_H_
 #define MUFS_SRC_DRIVER_DISK_DRIVER_H_
 
@@ -134,12 +134,10 @@ class DiskDriver : public BlockDevice {
   StatsRegistry* stats() const { return stats_; }
 
  private:
-  // A device request. Its issue_index is the newest of its merged issues.
+  // A device request. Its issue_index is the newest of its merged issues;
+  // at depth > 1 its flag becomes the ORDERED tag at dispatch.
   struct Request : GatedRequest {
     std::vector<uint64_t> ids;  // All ids merged into this device request.
-    // The device's view, set at dispatch (queueing mode): `flag` is the
-    // ORDERED tag and `issue_index` the acceptance number.
-    GatedRequest device;
     // Silent damage decided for this (write) request: the device reports
     // success but the media transfer is torn or misdirected. Set by
     // ServiceOne, consumed by Complete. kNone = honest transfer.
@@ -217,23 +215,20 @@ class DiskDriver : public BlockDevice {
 
   uint64_t next_id_ = 1;
   uint32_t scan_from_ = 0;
-  // Every queued and in-service request stays indexed here until
-  // Complete(), so it constrains later requests while it runs.
+  // Indexes each pick candidate until Complete(): every queued request at
+  // depth 1 (the scheme's rules), each accepted command at depth > 1 (the
+  // device window's). Also the completion table behind WaitFor.
   OrderingGate gate_;
   std::list<std::unique_ptr<Request>> queue_;  // Issue order (undispatched).
   // Queueing mode only: requests accepted into the device queue, in
   // acceptance (= issue) order. The in-service request stays here until
   // completion; at depth 1 this list is always empty.
   std::list<std::unique_ptr<Request>> accepted_;
-  // Queueing mode only: gates accepted_ by the requests' device views,
-  // with Full flag semantics (kFlag, kFull, no read bypass).
-  OrderingGate device_gate_;
   Request* in_service_ = nullptr;
   uint32_t spares_used_ = 0;
   CondVar work_available_;
   CondVar queue_empty_;
   bool stopping_ = false;
-  ProcessRef service_proc_;
 };
 
 }  // namespace mufs

@@ -27,11 +27,11 @@
 // only completions change the answer. The gate also keeps the completion
 // table the Chains rule reads, with the waiters of BlockDevice::WaitFor.
 //
-// Three uses: the DiskDriver gates its own queue by the scheme's rules; at
-// queue depth > 1 a second driver gate with Full semantics gates the
-// device's command window, where an ORDERED tag is the flag and the
-// acceptance number the issue index; and a StripedVolume gates volume
-// issue order (its member drivers then run kNone).
+// Two owners, one gate each. A DiskDriver gates its pick candidates: its
+// queue by the scheme's rules at queue depth 1, and at depth > 1 only the
+// device's command window, with Full semantics, where an ORDERED tag is
+// the flag and issue order is acceptance order. A StripedVolume gates
+// volume issue order (its member drivers then run kNone).
 #ifndef MUFS_SRC_DRIVER_ORDERING_GATE_H_
 #define MUFS_SRC_DRIVER_ORDERING_GATE_H_
 
