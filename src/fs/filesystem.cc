@@ -162,7 +162,6 @@ Task<FsStatus> FileSystem::Mount(Proc& proc) {
   }
   block_rotor_ = sb_.data_start;
   inode_rotor_ = kRootIno + 1;
-  mounted_ = true;
   co_return FsStatus::kOk;
 }
 

@@ -232,7 +232,6 @@ class FileSystem : public FsInterface {
   FsConfig config_;
   OrderingPolicy* policy_ = nullptr;
   SuperBlock sb_;
-  bool mounted_ = false;
   bool io_degraded_ = false;  // Some metadata may never have hit disk.
 
   std::unordered_map<uint32_t, InodeRef> inode_cache_;
