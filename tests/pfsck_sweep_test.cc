@@ -1,10 +1,10 @@
 // Full in-place recovery sweep (label: slow, run nightly under
-// ASan/UBSan): every scheme x {1,2,4} disks x a dense sample of crash
+// ASan/UBSan): every scheme x {2,4} disks x a dense sample of crash
 // points. Each cell asserts that the in-place sharded check reports
 // exactly what the extracted-region reference reports, and a sampled
 // subset repairs the crash image both ways and asserts the same
-// stable-storage bytes. On one disk the region is the whole image, so
-// the 1d cells only hold the harness's path to an extracted copy.
+// stable-storage bytes. One disk is left to pfsck_test's sampled cells:
+// there the region is the whole image.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,7 +29,7 @@ struct SweepCase {
 std::vector<SweepCase> AllCases() {
   std::vector<SweepCase> cases;
   for (Scheme scheme : kAllSchemes) {
-    for (uint32_t disks : {1u, 2u, 4u}) {
+    for (uint32_t disks : {2u, 4u}) {
       cases.push_back({scheme, disks,
                        std::string(SchemeName(scheme)) + "_" + std::to_string(disks) + "d"});
     }
@@ -39,9 +39,7 @@ std::vector<SweepCase> AllCases() {
 
 class PfsckSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
-// The test name predates the serial in-place checker; it is kept so the
-// cells keep their identity in the suite.
-TEST_P(PfsckSweepTest, ParallelCheckIdenticalAcrossCrashPoints) {
+TEST_P(PfsckSweepTest, InPlaceMatchesReferenceAcrossCrashPoints) {
   const SweepCase& c = GetParam();
   MachineConfig cfg;
   cfg.scheme = c.scheme;
