@@ -200,13 +200,29 @@ TEST(GoldenStatsTest, ConventionalCopyFourDiskStatsMatchGolden) {
 }
 
 // --- Ordering-gate goldens: the scheduler schemes' request-eligibility
-// rules, pinned in the single-disk driver (Chains) and in the striped
-// volume's gate (Flag Part-NR and Chains on two disks, where the gate
-// holds requests back). Full, Back and Part produce identical stats on
-// this workload, so one flag golden covers them.
+// rules, pinned in the single-disk driver (Chains, and Flag Part-NR under
+// the depth-1 C-LOOK pick) and in the striped volume's gate (Flag Part-NR
+// and Chains on two disks, where the gate holds requests back). Every
+// flag golden runs Part-NR; no golden pins Full or Back.
 
 TEST(GoldenStatsTest, SchedulerChainsCopyStatsMatchGolden) {
   CheckGolden(Scheme::kSchedulerChains, "scheduler_chains_copy_seed42.json");
+}
+
+// Reads one counter out of a DumpStatsJson string (-1 if absent).
+int64_t CounterIn(const std::string& json, const std::string& name) {
+  std::string needle = "\"" + name + "\":";
+  size_t pos = json.find(needle);
+  return pos == std::string::npos ? -1 : std::atoll(json.c_str() + pos + needle.size());
+}
+
+// One disk at depth 1: the C-LOOK pick over the flag gate's eligible
+// requests, with wraps and sequential merges of queued writes.
+TEST(GoldenStatsTest, SchedulerFlagCopyStatsMatchGolden) {
+  std::string actual = RunGoldenWorkload(Scheme::kSchedulerFlag);
+  EXPECT_GT(CounterIn(actual, "disk.clook_wraps"), 0);
+  EXPECT_GT(CounterIn(actual, "disk.merged_requests"), 0);
+  CheckNamedGolden(actual, "scheduler_flag_copy_seed42.json");
 }
 
 TEST(GoldenStatsTest, SchedulerFlagCopyTwoDiskStatsMatchGolden) {
@@ -222,13 +238,6 @@ TEST(GoldenStatsTest, SchedulerChainsCopyTwoDiskStatsMatchGolden) {
 // ORDERED tags (Flag) and rotational-position picks (both) decide the
 // service order. Each run must exercise what it pins, or the golden
 // would hold the queueing path by accident only.
-
-// Reads one counter out of a DumpStatsJson string (-1 if absent).
-int64_t CounterIn(const std::string& json, const std::string& name) {
-  std::string needle = "\"" + name + "\":";
-  size_t pos = json.find(needle);
-  return pos == std::string::npos ? -1 : std::atoll(json.c_str() + pos + needle.size());
-}
 
 TEST(GoldenStatsTest, SchedulerFlagCopyQueueDepth16StatsMatchGolden) {
   std::string actual = RunGoldenWorkload(Scheme::kSchedulerFlag, /*disks=*/1, /*queue_depth=*/16);
