@@ -138,7 +138,7 @@ uint64_t DiskDriver::Enqueue(std::unique_ptr<Request> req, IoCallback isr) {
   } else {
     // At depth > 1 a request is indexed when the device accepts it.
     if (!Queueing()) {
-      gate_.Index(*req);
+      gate_.Index(req.get());
     }
     queue_.push_back(std::move(req));
   }
@@ -174,7 +174,7 @@ bool DiskDriver::TryMerge(Request* incoming) {
     return false;
   }
   if (!Queueing()) {
-    gate_.Unindex(*tail);
+    gate_.Unindex(tail);
   }
   tail->data.insert(append ? tail->data.end() : tail->data.begin(), incoming->data.begin(),
                     incoming->data.end());
@@ -190,35 +190,21 @@ bool DiskDriver::TryMerge(Request* incoming) {
   // is always safe (delaying a write never violates ordering).
   tail->issue_index = incoming->issue_index;
   if (!Queueing()) {
-    gate_.Index(*tail);
+    gate_.Index(tail);
   }
   return true;
 }
 
 DiskDriver::Request* DiskDriver::PickNext() {
-  // C-LOOK: smallest eligible block number at or beyond the scan origin;
-  // wrap to the smallest eligible otherwise.
-  Request* best_forward = nullptr;
-  Request* best_wrap = nullptr;
-  for (const auto& q : queue_) {
-    if (!gate_.Eligible(*q)) {
-      continue;
-    }
-    if (q->blkno >= scan_from_) {
-      if (best_forward == nullptr || q->blkno < best_forward->blkno) {
-        best_forward = q.get();
-      }
-    } else if (best_wrap == nullptr || q->blkno < best_wrap->blkno) {
-      best_wrap = q.get();
-    }
-  }
-  if (best_forward != nullptr) {
-    return best_forward;
-  }
-  if (best_wrap != nullptr) {
+  // C-LOOK over the ready set: the smallest block number at or beyond
+  // the scan origin; wrap to the smallest otherwise. Equal block numbers
+  // go in issue order, which is queue order.
+  bool wrapped = false;
+  auto* r = static_cast<Request*>(gate_.NextReadyFrom(scan_from_, &wrapped));
+  if (wrapped) {
     stat_clook_wraps_->Inc();
   }
-  return best_wrap;
+  return r;
 }
 
 DiskDriver::Request* DiskDriver::PickFromDevice() {
@@ -226,12 +212,12 @@ DiskDriver::Request* DiskDriver::PickFromDevice() {
   // Rotational-position ordering: the least positioning cost among the
   // commands the gate lets start. Strict < keeps the earliest accepted of
   // equal-cost commands, so picks are deterministic. The oldest accepted
-  // command is always eligible, since every rule looks only at earlier
+  // command is always ready, since every rule looks only at earlier
   // accepted ones.
   Request* best = nullptr;
   SimDuration best_cost = 0;
   for (const auto& q : accepted_) {
-    if (!gate_.Eligible(*q)) {
+    if (!gate_.Ready(*q)) {
       continue;
     }
     SimDuration cost =
@@ -257,10 +243,12 @@ Task<void> DiskDriver::ServiceLoop() {
       co_await work_available_.Await();
       continue;
     }
-    // At depth 1 the request leaves the queue for service. A device
+    // The pick leaves the gate's ready set and stays indexed until
+    // Complete(). At depth 1 it leaves the queue for service. A device
     // command stays in the device queue across retries, so its tag keeps
-    // constraining (and being constrained by) its queue siblings, and no
-    // sibling can be reordered past a barrier by a retry.
+    // constraining its queue siblings, and no sibling can be reordered
+    // past a barrier by a retry.
+    gate_.Start(r);
     std::unique_ptr<Request> owned;
     if (!Queueing()) {
       owned = Detach(&queue_, r);
@@ -301,7 +289,7 @@ void DiskDriver::DispatchToDevice() {
     Request* r = accepted_.emplace_back(std::move(queue_.front())).get();
     queue_.pop_front();
     r->flag = DeviceTagFor(*r);
-    gate_.Index(*r);
+    gate_.Index(r);
     (r->flag ? stat_tag_ordered_ : stat_tag_simple_)->Inc();
     if (stats_->tracing()) {
       stats_->Trace(trace_names_.accept, {{"id", r->ids.front()},
@@ -479,7 +467,7 @@ void DiskDriver::Complete(Request* req, IoStatus status) {
                                     {"response_ns", now - req->issue_time},
                                     {"status", IoStatusName(status)}});
   }
-  gate_.Retire(*req);
+  gate_.Retire(req);
   for (uint64_t id : req->ids) {
     gate_.Complete(id, status);
   }

@@ -4,9 +4,9 @@
 // (or buffer cache) issues asynchronous requests; the driver decides
 // which pending request to service next, subject to:
 //
-//   - C-LOOK positional scheduling over block number among *eligible*
-//     requests (one request outstanding at the disk; the paper disables
-//     command queueing);
+//   - C-LOOK positional scheduling over block number among the requests
+//     in the gate's ready set (one request outstanding at the disk; the
+//     paper disables command queueing);
 //   - sequential request concatenation at enqueue (section 2);
 //   - the configured ordering discipline (None, Flag with Full/Back/Part
 //     and -NR, or Chains), decided by the driver's OrderingGate.
@@ -153,7 +153,7 @@ class DiskDriver : public BlockDevice {
   void Kick();
   // One loop for both queue depths; only the pick differs.
   Task<void> ServiceLoop();
-  // Depth 1: C-LOOK over the eligible queued requests.
+  // Depth 1: C-LOOK over the gate's ready set.
   Request* PickNext();
   // queue_depth > 1: dispatch-until-full, then the device's RPO pick.
   Request* PickFromDevice();
@@ -217,7 +217,8 @@ class DiskDriver : public BlockDevice {
   uint32_t scan_from_ = 0;
   // Indexes each pick candidate until Complete(): every queued request at
   // depth 1 (the scheme's rules), each accepted command at depth > 1 (the
-  // device window's). Also the completion table behind WaitFor.
+  // device window's). Both pickers read its ready set. Also the
+  // completion table behind WaitFor.
   OrderingGate gate_;
   std::list<std::unique_ptr<Request>> queue_;  // Issue order (undispatched).
   // Queueing mode only: requests accepted into the device queue, in

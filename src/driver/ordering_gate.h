@@ -1,9 +1,9 @@
 // Request-eligibility rules of the paper's scheduler schemes (section 3),
 // in one place for every layer that enforces them.
 //
-// The gate tracks every incomplete request by its issue index and
-// answers one question: may this request start now? The ordering
-// disciplines are:
+// The gate tracks every incomplete request by its issue index and keeps
+// the set of requests that may start now (the ready set), which the
+// pickers read. The ordering disciplines are:
 //   kNone    - no constraints (Conventional relies on synchronous
 //              waiting; No Order / Ignore simply don't care);
 //   kFlag    - one-bit ordering flag with Full/Back/Part semantics,
@@ -23,9 +23,29 @@
 // Under every discipline, two writes of overlapping ranges start in
 // issue order, or stale data could land last.
 //
-// The rules are monotone: a request once eligible stays eligible, since
-// only completions change the answer. The gate also keeps the completion
-// table the Chains rule reads, with the waiters of BlockDevice::WaitFor.
+// Each flag rule admits a prefix of issue order, up to a frontier. With
+// P the oldest pending flagged index and O the oldest pending index:
+//   Part passes R iff R <= P;
+//   Full passes R iff R < P, or R == P == O (the flagged request is
+//        also the oldest pending one);
+//   Back passes R iff R <= the first flagged index at or after O
+//        (flagged requests that already completed count too).
+// -NR reads skip the frontier and face only the overlap rule.
+//
+// Where a request is held while indexed, in exactly one place:
+//   - the ready set, ordered by (blkno, issue index), if it may start;
+//   - behind the frontier, in issue order, if only a flag rule holds it;
+//   - parked on one blocker: the latest earlier pending write that
+//     overlaps it, else the first Chains dependency not yet complete;
+//   - started, once a picker has taken it, until it is retired.
+// A request moves only when its answer can change: Unindex (a merge, or
+// Retire) wakes the requests parked on it and advances the frontier, and
+// Complete(id) wakes the requests parked on id. Indexing a new request
+// never changes another's answer, since every rule looks only at earlier
+// requests. A merged request adopts a newer issue index and may lose its
+// eligibility, so its owner unindexes it first and indexes it again.
+// The gate also keeps the completion table the Chains rule reads, with
+// the waiters of BlockDevice::WaitFor.
 //
 // Two owners, one gate each. A DiskDriver gates its pick candidates: its
 // queue by the scheme's rules at queue depth 1, and at depth > 1 only the
@@ -36,9 +56,12 @@
 #define MUFS_SRC_DRIVER_ORDERING_GATE_H_
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/driver/request.h"
@@ -66,6 +89,14 @@ struct GatedRequest {
   bool flag = false;
   uint64_t issue_index = 0;     // Position in issue order.
   std::vector<uint64_t> deps;   // Chains: ids that must complete first.
+
+ private:
+  friend class OrderingGate;
+  enum class Slot : uint8_t { kOut, kReady, kBehindFrontier, kOnWrite, kOnDep, kStarted };
+  // Where the gate holds the request; kOnWrite / kOnDep park it on
+  // `blocker_` (a write's issue index / a dependency id).
+  Slot slot_ = Slot::kOut;
+  uint64_t blocker_ = 0;
 };
 
 class OrderingGate {
@@ -74,22 +105,33 @@ class OrderingGate {
   OrderingGate(const OrderingGate&) = delete;
   OrderingGate& operator=(const OrderingGate&) = delete;
 
-  // Hands out the next issue index; a flagged request's index is
-  // remembered for the Back rule.
+  // Hands out the next issue index (the first is 1); under Back semantics
+  // a flagged request's index is remembered.
   uint64_t NextIssueIndex(bool flag);
 
   // Starts / stops `r` constraining other requests. Index() a request
   // once its issue index and block range are final; a request whose
-  // range changes (a merge) is re-indexed.
-  void Index(const GatedRequest& r);
-  void Unindex(const GatedRequest& r);
+  // range changes (a merge) is unindexed first and indexed again. The
+  // gate holds `r` by pointer until Unindex() or Retire().
+  void Index(GatedRequest* r);
+  void Unindex(GatedRequest* r);
   // `r` has completed: unindexes it and drops Back bookkeeping that no
   // pending request can need any more.
-  void Retire(const GatedRequest& r);
+  void Retire(GatedRequest* r);
 
-  bool Eligible(const GatedRequest& r) const;
+  // True if `r` (indexed, not started) may start now.
+  bool Ready(const GatedRequest& r) const { return r.slot_ == GatedRequest::Slot::kReady; }
+  // A picker takes ready `r` out of the ready set; `r` stays indexed
+  // until Retire().
+  void Start(GatedRequest* r);
+  // C-LOOK over the ready set: the lowest block number at or past `from`
+  // (the earliest issued among equals), else the lowest overall, with
+  // *wrapped set. Null if nothing is ready.
+  GatedRequest* NextReadyFrom(uint32_t from, bool* wrapped) const;
+  // Starts every ready request and returns them in issue order.
+  std::vector<GatedRequest*> StartAllReady();
 
-  // Indexed requests (pending or in service).
+  // Indexed requests (pending or started).
   size_t PendingCount() const { return pending_indices_.size(); }
 
   // Completion table: records `id`'s terminal status and wakes its
@@ -103,22 +145,41 @@ class OrderingGate {
   Task<IoStatus> WaitFor(uint64_t id);
 
  private:
-  bool ConflictsWithEarlierWrite(const GatedRequest& r) const;
+  // Puts indexed `r` where its current answer says.
+  void Place(GatedRequest* r);
+  void Wake(std::vector<GatedRequest*> parked);
+  // The latest pending write issued before `r` that overlaps it (0: none).
+  uint64_t EarlierOverlappingWrite(const GatedRequest& r) const;
+  // The highest issue index the flag rules pass now.
+  uint64_t FrontierLimit() const;
+  // Writes face the overlap rule under every mode; -NR reads face it
+  // instead of the flag frontier.
+  bool FacesOverlap(const GatedRequest& r) const {
+    return r.dir == IoDir::kWrite || (rules_.mode == OrderingMode::kFlag && rules_.reads_bypass);
+  }
+  bool FacesFrontier(const GatedRequest& r) const {
+    return rules_.mode == OrderingMode::kFlag && !(r.dir == IoDir::kRead && rules_.reads_bypass);
+  }
+  bool TracksFlagHistory() const {
+    return rules_.mode == OrderingMode::kFlag && rules_.semantics == FlagSemantics::kBack;
+  }
 
   Engine* engine_;
   OrderingRules rules_;
   uint64_t next_issue_index_ = 1;
-  // Issue indices of every flagged request still relevant for Back
-  // semantics, ascending (pruned as the queue drains).
-  std::vector<uint64_t> flagged_indices_;
-  // Eligibility indexes, maintained incrementally so checks are O(log n)
-  // instead of O(queue) (large queues are a *feature* of this paper's
-  // workloads - seconds of queued ordered writes - so the naive scans
-  // were quadratic).
-  std::set<uint64_t> pending_indices_;          // All pending + in-service.
+  // Back only: issue indices of every flagged request at or after the
+  // oldest pending index at the last Retire, ascending.
+  std::deque<uint64_t> flagged_indices_;
+  std::set<uint64_t> pending_indices_;          // All indexed requests.
   std::set<uint64_t> pending_flagged_indices_;  // Flagged subset.
   // Per-block pending WRITE issue indices (overlap checks).
   std::unordered_map<uint32_t, std::set<uint64_t>> pending_writes_by_block_;
+
+  std::map<std::pair<uint32_t, uint64_t>, GatedRequest*> ready_;  // By (blkno, issue index).
+  std::map<uint64_t, GatedRequest*> behind_frontier_;             // By issue index.
+  std::unordered_map<uint64_t, std::vector<GatedRequest*>> on_write_;  // By write's index.
+  std::unordered_map<uint64_t, std::vector<GatedRequest*>> on_dep_;    // By dependency id.
+
   std::unordered_map<uint64_t, IoStatus> completed_;
   std::unordered_map<uint64_t, std::unique_ptr<OneShotEvent>> waiters_;
 };

@@ -49,36 +49,35 @@ uint64_t StripedVolume::IssueRead(uint32_t blkno, BlockData* out, IoCallback isr
 }
 
 uint64_t StripedVolume::Issue(std::unique_ptr<VReq> req) {
-  req->id = next_id_++;
-  req->issue_index = gate_.NextIssueIndex(req->flag);
-  gate_.Index(*req);
-  uint64_t id = req->id;
-  if (gate_.Eligible(*req)) {
-    VReq* r = req.get();
-    in_flight_.emplace(id, std::move(req));
+  uint64_t id = next_id_++;
+  VReq* r = req.get();
+  r->id = id;
+  r->issue_index = gate_.NextIssueIndex(r->flag);
+  requests_.emplace(id, std::move(req));
+  gate_.Index(r);
+  // Only `r` goes now: requests a completion made ready before its ISR
+  // issued `r` follow in TryDispatch.
+  if (gate_.Ready(*r)) {
+    gate_.Start(r);
     Forward(r);
   } else {
     stat_held_->Inc();
-    held_.push_back(std::move(req));
   }
   return id;
 }
 
 void StripedVolume::TryDispatch() {
-  // Forward every held request that became eligible, in issue order.
-  // Eligibility under every mode is monotone in completions, so one pass
-  // suffices per completion event; requests forwarded here cannot make an
-  // EARLIER held request eligible (only completions can).
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (gate_.Eligible(**it)) {
-      VReq* r = it->get();
-      in_flight_.emplace(r->id, std::move(*it));
-      it = held_.erase(it);
-      Forward(r);
-    } else {
-      ++it;
-    }
+  // Forwarding changes no request's answer (only completions do), so the
+  // ready set is forwarded whole.
+  for (GatedRequest* r : gate_.StartAllReady()) {
+    Forward(static_cast<VReq*>(r));
   }
+}
+
+size_t StripedVolume::HeldCount() const {
+  // A forwarded request has sub-requests out until it leaves requests_.
+  return std::count_if(requests_.begin(), requests_.end(),
+                       [](const auto& entry) { return entry.second->subs_outstanding == 0; });
 }
 
 void StripedVolume::Forward(VReq* r) {
@@ -124,9 +123,9 @@ void StripedVolume::OnSubComplete(VReq* r, IoStatus status) {
   if (--r->subs_outstanding > 0) {
     return;
   }
-  auto node = in_flight_.extract(r->id);
+  auto node = requests_.extract(r->id);
   assert(!node.empty());
-  gate_.Retire(*r);
+  gate_.Retire(r);
   gate_.Complete(r->id, r->status);
   if (r->isr) {
     r->isr(r->status);

@@ -7,10 +7,9 @@
 // the scheme's ordering discipline instead, because flag semantics and
 // chain dependencies constrain VOLUME issue order, which per-disk queues
 // cannot see. The volume holds back requests at its own OrderingGate -
-// the same rules the single-disk driver enforces (they are monotone - a
-// request once eligible stays eligible - so forwarding eligible requests
-// early is always safe) - then lets each disk schedule its own C-LOOK /
-// tagged-queueing locally. The device-level invariant
+// the same rules the single-disk driver enforces - forwards each request
+// once the gate holds it ready, then lets each disk schedule its own
+// C-LOOK / tagged-queueing locally. The device-level invariant
 // (overlapping writes complete in issue order) is preserved because
 // identical block ranges always map to the same disk and the volume
 // forwards in issue order.
@@ -23,7 +22,6 @@
 #define MUFS_SRC_VOLUME_VOLUME_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -90,7 +88,7 @@ class StripedVolume : public BlockDevice {
   Task<void> Drain() override;
 
   const VolumeLayout& layout() const { return config_.layout; }
-  size_t HeldCount() const { return held_.size(); }  // Gated, not yet forwarded.
+  size_t HeldCount() const;  // Gated, not yet forwarded.
 
  private:
   struct VReq : GatedRequest {
@@ -103,7 +101,8 @@ class StripedVolume : public BlockDevice {
   };
 
   uint64_t Issue(std::unique_ptr<VReq> req);
-  // Forwards every eligible held request, in issue order, to the disks.
+  // Forwards every request the gate holds ready, in issue order, to the
+  // disks.
   void TryDispatch();
   void Forward(VReq* r);
   void OnSubComplete(VReq* r, IoStatus status);
@@ -113,13 +112,12 @@ class StripedVolume : public BlockDevice {
 
   uint64_t next_id_ = 1;
   // Indexes ALL incomplete requests (held + in-flight). "Pending" covers
-  // requests forwarded to a disk but not yet complete, matching the
-  // driver's in-service requests staying indexed until completion.
+  // requests forwarded to a disk but not yet complete (started, in the
+  // gate's terms), matching the driver's in-service requests staying
+  // indexed until completion.
   OrderingGate gate_;
-  // Requests held at the ordering gate, issue order.
-  std::list<std::unique_ptr<VReq>> held_;
-  // Forwarded but incomplete requests, keyed by id.
-  std::unordered_map<uint64_t, std::unique_ptr<VReq>> in_flight_;
+  // Every incomplete request, held or forwarded, keyed by id.
+  std::unordered_map<uint64_t, std::unique_ptr<VReq>> requests_;
   CondVar all_done_;
 
   Counter* stat_reads_ = nullptr;
