@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
 
 namespace mufs {
 
@@ -67,7 +69,9 @@ Task<BufRef> BufferCache::GetBuf(uint32_t blkno, bool read_fill) {
   // we wait must find this buffer (and block on valid_), never create a
   // duplicate.
   auto buf = std::make_shared<Buf>(engine_, blkno);
+  size_t buckets = buffers_.bucket_count();
   buffers_[blkno] = buf;
+  PlaceInTableOrder(*buf, buckets);
   Touch(*buf);
   co_await EnsureCapacity();
   if (read_fill) {
@@ -162,10 +166,50 @@ void BufferCache::SetDirtyState(Buf& buf, bool dirty, bool write_failed) {
   if (buf.dirty_ != dirty) {
     stat_dirty_->Add(dirty ? 1 : -1);
   }
-  dirty_count_ -= buf.dirty_ && !buf.write_failed_;
+  bool was_listed = buf.dirty_ && !buf.write_failed_;
+  bool listed = dirty && !write_failed;
   buf.dirty_ = dirty;
   buf.write_failed_ = write_failed;
-  dirty_count_ += dirty && !write_failed;
+  if (listed && !was_listed) {
+    buf.dirty_slot_ = dirty_list_.size();
+    dirty_list_.push_back(&buf);
+  } else if (was_listed && !listed) {
+    Buf* last = dirty_list_.back();
+    dirty_list_[buf.dirty_slot_] = last;
+    last->dirty_slot_ = buf.dirty_slot_;
+    dirty_list_.pop_back();
+  }
+}
+
+void BufferCache::PlaceInTableOrder(Buf& buf, size_t buckets_before) {
+  if (buffers_.bucket_count() == buckets_before) {
+    size_t bucket = buffers_.bucket(buf.blkno_);
+    auto next = std::next(buffers_.begin(bucket));
+    buf.table_run_ = next != buffers_.end(bucket) ? next->second->table_run_ : next_table_run_--;
+    buf.table_node_ = next_table_node_--;
+    return;
+  }
+  // The insertion rehashed: number every buffer in the new order. A
+  // bucket's nodes are contiguous, so a run ends where the bucket
+  // changes.
+  int64_t run = -1;
+  int64_t node = 0;
+  size_t prev_bucket = buffers_.bucket_count();
+  for (auto& [blkno, entry] : buffers_) {
+    size_t bucket = buffers_.bucket(blkno);
+    run += bucket != prev_bucket;
+    prev_bucket = bucket;
+    entry->table_run_ = run;
+    entry->table_node_ = node++;
+  }
+  next_table_run_ = -1;
+  next_table_node_ = -1;
+}
+
+void BufferCache::SortIntoTableOrder(std::vector<Buf*>* bufs) {
+  std::sort(bufs->begin(), bufs->end(), [](const Buf* a, const Buf* b) {
+    return std::pair{a->table_run_, a->table_node_} < std::pair{b->table_run_, b->table_node_};
+  });
 }
 
 void BufferCache::MarkDirty(Buf& buf) {
@@ -304,20 +348,20 @@ Task<void> BufferCache::SyncVisibleThrough(uint64_t seq) {
   // buffers or create new dirty ones (deferred frees), and deferred
   // releases run between rounds can dirty more epoch-covered buffers.
   for (int round = 0; round < 200; ++round) {
-    std::vector<BufRef> dirty;
-    for (auto& [blkno, buf] : buffers_) {
-      if (buf->dirty_ && !buf->write_failed_ && !buf->io_locked_ &&
-          buf->writes_in_flight_ == 0 && buf->first_visible_seq_ <= seq) {
+    std::vector<Buf*> dirty;
+    for (Buf* buf : dirty_list_) {
+      if (!buf->io_locked_ && buf->writes_in_flight_ == 0 && buf->first_visible_seq_ <= seq) {
         dirty.push_back(buf);
       }
     }
     if (dirty.empty() && driver_->PendingCount() == 0) {
       co_return;
     }
-    for (auto& buf : dirty) {
+    SortIntoTableOrder(&dirty);
+    for (Buf* buf : dirty) {
       if (buf->dirty_ && !buf->write_failed_ && !buf->io_locked_ &&
           buf->writes_in_flight_ == 0) {
-        IssueWrite(buf, OrderingTag{}, false);
+        IssueWrite(buffers_.at(buf->blkno_), OrderingTag{}, false);
       }
     }
     co_await driver_->Drain();
@@ -348,43 +392,44 @@ size_t BufferCache::FailedCount() const {
 
 void BufferCache::SyncerPass(double fraction) {
   // Phase 1: write out buffers marked on the previous pass.
-  std::vector<BufRef> to_write;
-  for (auto& [blkno, buf] : buffers_) {
-    if (buf->syncer_mark_ && buf->dirty_ && !buf->write_failed_ && !buf->io_locked_ &&
-        buf->writes_in_flight_ == 0) {
+  std::vector<Buf*> to_write;
+  for (Buf* buf : dirty_list_) {
+    if (buf->syncer_mark_ && !buf->io_locked_ && buf->writes_in_flight_ == 0) {
       to_write.push_back(buf);
     }
   }
   // Issued in sweep (hash-table) order, NOT disk order: sorting is the
   // disk scheduler's job, and pre-sorting here would hide the cost of
-  // restrictive ordering semantics (the paper's figure 1b effect).
-  for (auto& buf : to_write) {
+  // restrictive ordering semantics (the paper's figure 1b effect). The
+  // dirty list is unordered; the table positions give the sweep order.
+  SortIntoTableOrder(&to_write);
+  for (Buf* buf : to_write) {
     if (buf->writes_in_flight_ == 0) {
-      IssueWrite(buf, OrderingTag{}, /*from_syncer=*/true);
+      IssueWrite(buffers_.at(buf->blkno_), OrderingTag{}, /*from_syncer=*/true);
     }
   }
 
   // Phase 2: mark the dirty buffers in this pass's window. The window is
   // a slice of the block-number space, advanced each pass so the whole
   // cache is covered every 1/fraction passes.
-  std::vector<uint32_t> dirty_blocks;
-  dirty_blocks.reserve(buffers_.size());
-  for (auto& [blkno, buf] : buffers_) {
-    if (buf->dirty_ && !buf->write_failed_ && !buf->syncer_mark_) {
-      dirty_blocks.push_back(blkno);
+  std::vector<Buf*> unmarked;
+  for (Buf* buf : dirty_list_) {
+    if (!buf->syncer_mark_) {
+      unmarked.push_back(buf);
     }
   }
-  std::sort(dirty_blocks.begin(), dirty_blocks.end());
+  std::sort(unmarked.begin(), unmarked.end(),
+            [](const Buf* a, const Buf* b) { return a->blkno_ < b->blkno_; });
   size_t want = static_cast<size_t>(
       static_cast<double>(config_.capacity_blocks) * fraction + 0.5);
   // Start after the cursor, wrapping, to emulate the rotating sweep.
-  auto start = std::upper_bound(dirty_blocks.begin(), dirty_blocks.end(), syncer_cursor_);
+  auto start = std::partition_point(unmarked.begin(), unmarked.end(),
+                                    [this](const Buf* b) { return b->blkno_ <= syncer_cursor_; });
   size_t marked = 0;
-  for (size_t i = 0; i < dirty_blocks.size() && marked < want; ++i) {
-    size_t idx = (static_cast<size_t>(start - dirty_blocks.begin()) + i) % dirty_blocks.size();
-    uint32_t blkno = dirty_blocks[idx];
-    buffers_.at(blkno)->syncer_mark_ = true;
-    syncer_cursor_ = blkno;
+  for (size_t i = 0; i < unmarked.size() && marked < want; ++i) {
+    size_t idx = (static_cast<size_t>(start - unmarked.begin()) + i) % unmarked.size();
+    unmarked[idx]->syncer_mark_ = true;
+    syncer_cursor_ = unmarked[idx]->blkno_;
     ++marked;
   }
 }

@@ -102,6 +102,11 @@ class Buf {
   uint64_t first_visible_seq_ = 0;
   std::vector<uint64_t> pending_write_deps_;  // Chain deps for the next write.
   uint64_t lru_tick_ = 0;
+  // Position in BufferCache::buffers_' iteration order, smaller first:
+  // the run of this buffer's bucket, then the node within the run.
+  int64_t table_run_ = 0;
+  int64_t table_node_ = 0;
+  size_t dirty_slot_ = 0;  // Index in BufferCache::dirty_list_ while listed.
   CondVar io_cv_;  // Signalled when io_locked_/valid_ changes.
 };
 
@@ -223,7 +228,7 @@ class BufferCache {
   // Number of dirty buffers (tests / syncer accounting). Excludes
   // write-failed buffers: they are permanently unflushable and must not
   // keep drain loops spinning.
-  size_t DirtyCount() const { return dirty_count_; }
+  size_t DirtyCount() const { return dirty_list_.size(); }
   // Dirty buffers whose last write failed terminally.
   size_t FailedCount() const;
   size_t CachedCount() const { return buffers_.size(); }
@@ -241,6 +246,7 @@ class BufferCache {
 
  private:
   friend class SyncerDaemon;
+  friend class BufferCacheTestPeer;
 
   Task<BufRef> GetBuf(uint32_t blkno, bool read_fill);
   Task<void> EnsureCapacity();
@@ -248,8 +254,18 @@ class BufferCache {
   uint64_t IssueWrite(BufRef buf, OrderingTag tag, bool from_syncer);
   void Touch(Buf& buf);
   // The only writer of Buf::dirty_ and Buf::write_failed_: keeps the
-  // cache.dirty_blocks gauge and dirty_count_ in step with them.
+  // cache.dirty_blocks gauge and the dirty list in step with them.
   void SetDirtyState(Buf& buf, bool dirty, bool write_failed);
+
+  // The flush paths issue in buffers_' iteration order, so each buffer
+  // carries its position in that order and the dirty list is sorted by
+  // it instead of walking the table. libstdc++ links a new node at the
+  // head of its bucket's run, and the run of a bucket that was empty at
+  // the head of the table; an erase leaves the others' order alone, and
+  // only a rehash reorders. Called right after `buf` is inserted, with
+  // the bucket count before the insertion.
+  void PlaceInTableOrder(Buf& buf, size_t buckets_before);
+  static void SortIntoTableOrder(std::vector<Buf*>* bufs);
 
   Engine* engine_;
   BlockDevice* driver_;
@@ -272,7 +288,14 @@ class BufferCache {
   Gauge* stat_copies_out_ = nullptr;
 
   std::unordered_map<uint32_t, BufRef> buffers_;
-  size_t dirty_count_ = 0;  // Buffers with dirty_ && !write_failed_.
+  // Buffers with dirty_ && !write_failed_, unordered. Raw pointers: an
+  // extra owner would keep EnsureCapacity from writing back cold dirty
+  // buffers. A listed buffer is dirty, so it is never evicted.
+  std::vector<Buf*> dirty_list_;
+  // Table positions for the next insertion; both count down, since a new
+  // run and a new node each go to the head.
+  int64_t next_table_run_ = -1;
+  int64_t next_table_node_ = -1;
   std::map<uint64_t, Buf*> lru_;  // tick -> buffer, oldest first.
   uint64_t next_tick_ = 1;
   uint32_t syncer_cursor_ = 0;  // Block-number window cursor for passes.

@@ -1,10 +1,11 @@
 // Syncer daemon tests: pass cadence, the two-phase mark-then-write
 // accounting (a dirty buffer is written on the pass AFTER it is marked),
-// the rotating window fraction, workitem servicing and DrainWork, and
-// sticky write-failed buffers that the syncer must skip rather than
-// livelock on.
+// the rotating window fraction, workitem servicing and DrainWork, sticky
+// write-failed buffers that the syncer must skip rather than livelock on,
+// and the cache's dirty list against the table walk it replaced.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -16,8 +17,40 @@
 #include "src/driver/disk_driver.h"
 #include "src/fault/fault_injector.h"
 #include "src/sim/engine.h"
+#include "src/sim/rng.h"
 
 namespace mufs {
+
+// Reads BufferCache's buffer table and dirty list.
+class BufferCacheTestPeer {
+ public:
+  // The dirty list, sorted into table order as the flush paths sort it.
+  static std::vector<uint32_t> ListedInTableOrder(const BufferCache& cache) {
+    std::vector<Buf*> listed = cache.dirty_list_;
+    BufferCache::SortIntoTableOrder(&listed);
+    std::vector<uint32_t> blocks;
+    for (const Buf* buf : listed) {
+      blocks.push_back(buf->blkno());
+    }
+    return blocks;
+  }
+
+  // The reference: the walk of the buffer table that SyncerPass and
+  // SyncVisibleThrough ran before the dirty list, keeping the buffers
+  // they could issue, in the order they issued them.
+  static std::vector<uint32_t> WalkDirty(const BufferCache& cache) {
+    std::vector<uint32_t> blocks;
+    for (const auto& [blkno, buf] : cache.buffers_) {
+      if (buf->dirty() && !buf->write_failed()) {
+        blocks.push_back(blkno);
+      }
+    }
+    return blocks;
+  }
+
+  static size_t BucketCount(const BufferCache& cache) { return cache.buffers_.bucket_count(); }
+};
+
 namespace {
 
 // Engine + injector + driver + cache wired together (the injector is
@@ -318,6 +351,122 @@ TEST(SyncerTest, SyncAllAlsoSkipsFailedBuffersInsteadOfLivelocking) {
   BlockData d;
   rig.image.Read(200, &d);
   EXPECT_EQ(d[0], 0x22);
+}
+
+// Differential test of the table-order rule. Seeded random steps drive
+// a cache whose table starts empty (so it grows through several rehashes)
+// and whose capacity is well below the range of blocks drawn (so
+// evictions and DropClean empty buckets that later refill): reads and
+// gets, delayed writes, asynchronous writes left in flight across steps,
+// syncer passes, SyncAll and scripted terminal write failures. After
+// every step the dirty list, sorted into table order, must equal a walk
+// of the table.
+TEST(SyncerTest, DirtyListInTableOrderMatchesTheTableWalk) {
+  constexpr uint32_t kBlocks = 600;
+  size_t rehashes = 0;
+  size_t multi_dirty_steps = 0;
+  uint64_t evictions = 0;
+  uint64_t write_failures = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    CacheConfig ccfg;
+    ccfg.capacity_blocks = 64;
+    DriverConfig dcfg;
+    dcfg.max_retries = 1;
+    Rig rig(ccfg, dcfg);
+    Rng rng(seed);
+    std::vector<uint32_t> recent;  // Blocks accessed lately, likely cached.
+    auto access = [](Rig* r, uint32_t blkno, bool read, bool dirty) -> Task<void> {
+      BufRef buf;
+      if (read) {
+        buf = co_await r->cache->Bread(blkno);
+      } else {
+        buf = co_await r->cache->Bget(blkno);
+      }
+      if (buf != nullptr && dirty) {
+        co_await r->cache->BeginUpdate(*buf);
+        buf->data()[0] = static_cast<uint8_t>(blkno);
+        r->cache->MarkDirty(*buf);
+      }
+    };
+    auto write = [](Rig* r, uint32_t blkno) -> Task<void> {
+      BufRef buf = co_await r->cache->Bread(blkno);
+      if (buf != nullptr) {
+        co_await r->cache->Bawrite(buf);
+      }
+    };
+    auto sync_all = [](Rig* r) -> Task<void> { co_await r->cache->SyncAll(); };
+    size_t buckets = BufferCacheTestPeer::BucketCount(*rig.cache);
+    size_t failures_scripted = 0;
+    for (int step = 0; step < 1000; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      uint32_t blkno = !recent.empty() && rng.Bernoulli(0.3)
+                           ? recent[rng.UniformInt(0, static_cast<int64_t>(recent.size()) - 1)]
+                           : static_cast<uint32_t>(rng.UniformInt(0, kBlocks - 1));
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+        case 1:
+        case 2: {
+          bool read = rng.Bernoulli(0.5);
+          bool dirty = rng.Bernoulli(0.7);
+          rig.engine.Spawn(access(&rig, blkno, read, dirty));
+          recent.push_back(blkno);
+          break;
+        }
+        case 3:
+          rig.cache->MarkDirty(blkno);
+          break;
+        case 4:
+        case 5:
+          rig.engine.Spawn(write(&rig, blkno));
+          recent.push_back(blkno);
+          break;
+        case 6:
+          rig.cache->SyncerPass(0.25);
+          break;
+        case 7:
+          if (rng.Bernoulli(0.2)) {
+            rig.cache->DropClean();
+          }
+          break;
+        case 8:
+          // Both attempts of the next device command fail: a write stays
+          // dirty and leaves the list, a read drops its placeholder.
+          if (failures_scripted < 8) {
+            rig.faults.Script({FaultKind::kTransient, FaultKind::kTransient});
+            ++failures_scripted;
+          }
+          break;
+        case 9:
+          if (rng.Bernoulli(0.2)) {
+            rig.engine.Spawn(sync_all(&rig));
+          }
+          break;
+      }
+      if (recent.size() > 64) {
+        recent.erase(recent.begin(), recent.begin() + 32);
+      }
+      rig.engine.Run(rig.engine.Now() + Msec(rng.UniformInt(0, 30)));
+
+      std::vector<uint32_t> walk = BufferCacheTestPeer::WalkDirty(*rig.cache);
+      ASSERT_EQ(BufferCacheTestPeer::ListedInTableOrder(*rig.cache), walk);
+      ASSERT_EQ(rig.cache->DirtyCount(), walk.size());
+      multi_dirty_steps += walk.size() >= 2;
+      size_t now = BufferCacheTestPeer::BucketCount(*rig.cache);
+      rehashes += now != buckets;
+      buckets = now;
+    }
+    rig.engine.Run(rig.engine.Now() + Sec(60));
+    std::vector<uint32_t> walk = BufferCacheTestPeer::WalkDirty(*rig.cache);
+    ASSERT_EQ(BufferCacheTestPeer::ListedInTableOrder(*rig.cache), walk);
+    evictions += rig.Count("cache.evictions");
+    write_failures += rig.Count("cache.write_failures");
+  }
+  // The steps reached what the rule is about.
+  EXPECT_GE(rehashes, 18u);
+  EXPECT_GE(multi_dirty_steps, 3000u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(write_failures, 0u);
 }
 
 }  // namespace
