@@ -151,7 +151,7 @@ void OrderingGate::Place(GatedRequest* r) {
   }
   if (rules_.mode == OrderingMode::kChains) {
     for (uint64_t dep : r->deps) {
-      if (!completed_.contains(dep)) {
+      if (!IsComplete(dep)) {
         r->slot_ = Slot::kOnDep;
         r->blocker_ = dep;
         on_dep_[dep].push_back(r);
@@ -216,7 +216,12 @@ uint64_t OrderingGate::FrontierLimit() const {
 }
 
 void OrderingGate::Complete(uint64_t id, IoStatus status) {
-  completed_.emplace(id, status);
+  if (id >= completed_.size()) {
+    completed_.resize(id + 1);
+  }
+  if (completed_[id] == 0) {
+    completed_[id] = static_cast<uint8_t>(status) + 1;
+  }
   auto it = waiters_.find(id);
   if (it != waiters_.end()) {
     it->second->Set();
@@ -228,16 +233,15 @@ void OrderingGate::Complete(uint64_t id, IoStatus status) {
 }
 
 Task<IoStatus> OrderingGate::WaitFor(uint64_t id) {
-  auto done = completed_.find(id);
-  if (done != completed_.end()) {
-    co_return done->second;
+  if (IsComplete(id)) {
+    co_return CompletionStatus(id);
   }
   auto it = waiters_.find(id);
   if (it == waiters_.end()) {
     it = waiters_.emplace(id, std::make_unique<OneShotEvent>(engine_)).first;
   }
   co_await it->second->Wait();
-  co_return completed_.at(id);
+  co_return CompletionStatus(id);
 }
 
 }  // namespace mufs

@@ -134,13 +134,13 @@ class OrderingGate {
   // Indexed requests (pending or started).
   size_t PendingCount() const { return pending_indices_.size(); }
 
-  // Completion table: records `id`'s terminal status and wakes its
-  // waiters.
+  // Completion table: records `id`'s terminal status (the first, if `id`
+  // completes twice) and wakes its waiters.
   void Complete(uint64_t id, IoStatus status);
-  bool IsComplete(uint64_t id) const { return completed_.contains(id); }
+  bool IsComplete(uint64_t id) const { return id < completed_.size() && completed_[id] != 0; }
+  // kOk for an unknown id.
   IoStatus CompletionStatus(uint64_t id) const {
-    auto it = completed_.find(id);
-    return it == completed_.end() ? IoStatus::kOk : it->second;
+    return IsComplete(id) ? static_cast<IoStatus>(completed_[id] - 1) : IoStatus::kOk;
   }
   Task<IoStatus> WaitFor(uint64_t id);
 
@@ -180,7 +180,9 @@ class OrderingGate {
   std::unordered_map<uint64_t, std::vector<GatedRequest*>> on_write_;  // By write's index.
   std::unordered_map<uint64_t, std::vector<GatedRequest*>> on_dep_;    // By dependency id.
 
-  std::unordered_map<uint64_t, IoStatus> completed_;
+  // By request id, which the owners hand out densely from 1: 0 while
+  // incomplete, else the terminal status + 1.
+  std::vector<uint8_t> completed_;
   std::unordered_map<uint64_t, std::unique_ptr<OneShotEvent>> waiters_;
 };
 
