@@ -15,12 +15,11 @@ constexpr uint32_t kMaxMergedBlocks = 16;  // 64 KB max device transfer.
 // tag is the paper's Full flag, and no read bypasses it.
 constexpr OrderingRules kDeviceWindowRules{OrderingMode::kFlag, FlagSemantics::kFull};
 
-// Takes ownership of `r` out of `from`.
+// Takes ownership of `r` out of `from`, the list its `pos` points into.
 template <typename R>
 std::unique_ptr<R> Detach(std::list<std::unique_ptr<R>>* from, R* r) {
-  auto it = std::find_if(from->begin(), from->end(), [r](const auto& q) { return q.get() == r; });
-  std::unique_ptr<R> owned = std::move(*it);
-  from->erase(it);
+  std::unique_ptr<R> owned = std::move(*r->pos);
+  from->erase(r->pos);
   return owned;
 }
 
@@ -140,7 +139,8 @@ uint64_t DiskDriver::Enqueue(std::unique_ptr<Request> req, IoCallback isr) {
     if (!Queueing()) {
       gate_.Index(req.get());
     }
-    queue_.push_back(std::move(req));
+    auto pos = queue_.insert(queue_.end(), std::move(req));
+    (*pos)->pos = pos;
   }
   stat_queue_depth_->Set(static_cast<int64_t>(PendingCount()));
   Kick();
@@ -286,8 +286,8 @@ void DiskDriver::DispatchToDevice() {
   // dependent request subsumes it. An accepted command's flag becomes its
   // tag, and its issue index orders the window as acceptance does.
   while (!queue_.empty() && accepted_.size() < config_.queue_depth) {
-    Request* r = accepted_.emplace_back(std::move(queue_.front())).get();
-    queue_.pop_front();
+    accepted_.splice(accepted_.end(), queue_, queue_.begin());
+    Request* r = accepted_.back().get();
     r->flag = DeviceTagFor(*r);
     gate_.Index(r);
     (r->flag ? stat_tag_ordered_ : stat_tag_simple_)->Inc();

@@ -146,6 +146,9 @@ class DiskDriver : public BlockDevice {
     std::vector<std::shared_ptr<const BlockData>> data;  // Writes.
     BlockData* read_out = nullptr;                       // Reads.
     std::vector<IoCallback> isrs;
+    // Where the request sits in queue_, or in accepted_ after the splice
+    // that dispatches it.
+    std::list<std::unique_ptr<Request>>::iterator pos;
   };
 
   uint64_t Enqueue(std::unique_ptr<Request> req, IoCallback isr);
